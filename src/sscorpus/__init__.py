@@ -29,7 +29,6 @@ from .pipeline import (
     ablate,
     bleu_selector,
     build_corpus,
-    corpus_stats,
     fres_selector,
     generate_pseudo_pairs,
     subset,

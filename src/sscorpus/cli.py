@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -96,37 +97,17 @@ def _selector_config(args: argparse.Namespace) -> pipeline.SelectorConfig:
 
 
 def _input_streams(args: argparse.Namespace) -> tuple[Iterable[str], Iterable[str]]:
-    target_path = Path(args.target)
     if bool(args.translations) == bool(args.translator_cmd):
         raise ValueError("exactly one of --translations or --translator-cmd is required")
     if args.translations:
-        source = ingest.TranslationSource("precomputed", args.translations)
-        n_target = ingest.count_lines(target_path)
-        n_translations = ingest.count_lines(Path(args.translations))
-        if n_target != n_translations:
-            raise ValueError(
-                f"line count mismatch: {n_target} lines in {target_path} "
-                f"vs {n_translations} lines in {args.translations}"
-            )
-        return ingest.iter_lines(target_path), ingest.translate(iter(()), source)
+        return ingest.open_aligned(Path(args.target), Path(args.translations))
     if not args.bridge:
         raise ValueError("--translator-cmd requires --bridge")
-    bridge_path = Path(args.bridge)
-    n_target = ingest.count_lines(target_path)
-    n_bridge = ingest.count_lines(bridge_path)
-    if n_target != n_bridge:
-        raise ValueError(
-            f"line count mismatch: {n_target} lines in {target_path} "
-            f"vs {n_bridge} lines in {bridge_path}"
-        )
-    source = ingest.TranslationSource(
-        "external", args.translator_cmd, args.batch_size, args.translator_timeout
-    )
+    targets, bridge = ingest.open_aligned(Path(args.target), Path(args.bridge))
+    source = ingest.TranslationSource(args.translator_cmd, args.batch_size, args.translator_timeout)
     # The two sides are separate files, so each can be streamed on its own;
     # the translator is free to read bridge lines a batch ahead.
-    return ingest.iter_lines(target_path), ingest.translate(
-        ingest.iter_lines(bridge_path), source
-    )
+    return targets, ingest.translate(bridge, source)
 
 
 def _run_info(args: argparse.Namespace, extra: Optional[dict] = None) -> dict:
@@ -182,7 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     corpus = ingest.read_corpus(args.corpus, format=args.format)
-    print(json.dumps(corpus.stats.to_dict(), indent=2))
+    print(json.dumps(asdict(corpus.stats), indent=2))
     return 0
 
 

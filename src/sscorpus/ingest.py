@@ -15,7 +15,7 @@ import subprocess
 import threading
 import time
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -30,30 +30,22 @@ from .pipeline import (
 from .textprep import get_profile
 
 
-@dataclass(frozen=True)
-class BitextSource:
-    """Two line-aligned files: corpus-language sentences and bridge-language sentences."""
-
-    target_path: Path
-    bridge_path: Path
+_TSV_HEADER = "complex\tsimple\tbleu\tfres_complex\tfres_simple\tfres_gap"
 
 
 @dataclass(frozen=True)
 class TranslationSource:
-    """Where translations come from: an aligned file, or a line-protocol command.
+    """A line-protocol translator command.
 
-    External mode feeds ``batch_size`` sentences per flush to the command's
-    stdin and expects one translation per line on stdout, in order.
+    :func:`translate` feeds it ``batch_size`` sentences per flush on stdin
+    and expects one translation per line on stdout, in order.
     """
 
-    mode: str  # "precomputed" | "external"
-    path_or_cmd: str
+    command: str
     batch_size: int = 64
     timeout: float = 300.0
 
     def __post_init__(self):
-        if self.mode not in ("precomputed", "external"):
-            raise ValueError(f"unknown translation mode {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -82,29 +74,21 @@ def iter_lines(path: Path) -> Iterator[str]:
             yield unicodedata.normalize("NFC", line.rstrip("\n").rstrip("\r"))
 
 
-def open_bitext(source: BitextSource) -> Iterator[tuple[str, str]]:
-    """Stream (target, bridge) sentence pairs; line counts are checked up front."""
-    n_target = count_lines(source.target_path)
-    n_bridge = count_lines(source.bridge_path)
-    if n_target != n_bridge:
+def open_aligned(first: Path, second: Path) -> tuple[Iterator[str], Iterator[str]]:
+    """Stream two line-aligned files; their line counts are checked up front."""
+    n_first = count_lines(first)
+    n_second = count_lines(second)
+    if n_first != n_second:
         raise ValueError(
-            f"line count mismatch: {n_target} lines in {source.target_path} "
-            f"vs {n_bridge} lines in {source.bridge_path}"
+            f"line count mismatch: {n_first} lines in {first} vs {n_second} lines in {second}"
         )
-    return zip(iter_lines(source.target_path), iter_lines(source.bridge_path))
+    return iter_lines(first), iter_lines(second)
 
 
-def translate(bridge_stream: Iterable[str], source: TranslationSource) -> Iterator[str]:
-    """Translations for the bridge sentences, one per input line, in order."""
-    if source.mode == "precomputed":
-        return iter_lines(Path(source.path_or_cmd))
-    return _external_translate(bridge_stream, source.path_or_cmd, source.batch_size, source.timeout)
-
-
-def _external_translate(
-    lines: Iterable[str], command: str, batch_size: int, timeout: float
-) -> Iterator[str]:
-    args = shlex.split(command)
+def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
+    """Run the translator over ``lines``; one translation per input line, in order."""
+    timeout = source.timeout
+    args = shlex.split(source.command)
     proc = subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     eof = object()
     out_queue: queue.Queue = queue.Queue()
@@ -163,7 +147,7 @@ def _external_translate(
         batch_index = 0
         line_offset = 1
         while True:
-            batch = list(islice(line_iter, batch_size))
+            batch = list(islice(line_iter, source.batch_size))
             if batch:
                 in_queue.put(batch)
             else:
@@ -177,7 +161,12 @@ def _external_translate(
             line_offset += len(batch)
 
         # All input consumed; any further output means the command is misbehaving.
-        leftover = out_queue.get(timeout=timeout)
+        try:
+            leftover = out_queue.get(timeout=timeout)
+        except queue.Empty:
+            raise RuntimeError(
+                f"translator did not exit within {timeout:g}s after the last batch"
+            ) from None
         if leftover is not eof:
             proc.kill()
             raise RuntimeError("translator produced more output lines than input lines")
@@ -212,7 +201,19 @@ def write_corpus(
 
     plain: ``<prefix>.complex`` and ``<prefix>.simple``, line-aligned, LF.
     tsv:   one file with per-pair scores for inspection.
+
+    A sentence the reader could not give back is rejected before anything is
+    written: a line feed or a trailing carriage return in either format, and
+    a tab in TSV. The error names the pair index.
     """
+    tsv = format == "tsv"
+    for pair in corpus.pairs:
+        for text in (pair.complex, pair.simple):
+            if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):
+                raise ValueError(
+                    f"pair {pair.index}: sentence {text!r} has a tab or line break "
+                    f"that the {format} format cannot hold"
+                )
     prefix = Path(out_prefix)
     if prefix.parent and not prefix.parent.exists():
         prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -231,7 +232,7 @@ def write_corpus(
     elif format == "tsv":
         tsv_path = Path(f"{prefix}.tsv")
         with open(tsv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("complex\tsimple\tbleu\tfres_complex\tfres_simple\tfres_gap\n")
+            fh.write(_TSV_HEADER + "\n")
             for pair in corpus.pairs:
                 fh.write(
                     "\t".join(
@@ -253,9 +254,9 @@ def write_corpus(
     meta = {
         "format": format,
         "lang": corpus.lang,
-        "config": corpus.config_snapshot.to_dict(),
-        "stats": corpus.stats.to_dict(),
-        "drop_tally": corpus.drop_tally.to_dict() if corpus.drop_tally else None,
+        "config": asdict(corpus.config_snapshot),
+        "stats": asdict(corpus.stats),
+        "drop_tally": asdict(corpus.drop_tally) if corpus.drop_tally else None,
     }
     if run_info:
         meta["run"] = run_info
@@ -277,18 +278,10 @@ def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorp
 
     pairs: list[LabeledPair] = []
     if format == "plain":
-        complex_path = Path(f"{prefix}.complex")
-        simple_path = Path(f"{prefix}.simple")
-        n_complex = count_lines(complex_path)
-        n_simple = count_lines(simple_path)
-        if n_complex != n_simple:
-            raise ValueError(
-                f"line count mismatch: {n_complex} lines in {complex_path} "
-                f"vs {n_simple} lines in {simple_path}"
-            )
-        for index, (complex_line, simple_line) in enumerate(
-            zip(iter_lines(complex_path), iter_lines(simple_path))
-        ):
+        complex_lines, simple_lines = open_aligned(
+            Path(f"{prefix}.complex"), Path(f"{prefix}.simple")
+        )
+        for index, (complex_line, simple_line) in enumerate(zip(complex_lines, simple_lines)):
             pairs.append(
                 LabeledPair(
                     complex=complex_line,
@@ -300,25 +293,26 @@ def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorp
             )
     elif format == "tsv":
         tsv_path = Path(f"{prefix}.tsv")
-        with open(tsv_path, encoding="utf-8") as fh:
-            header = fh.readline()
-            del header
-            for index, line in enumerate(fh):
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 6:
-                    raise ValueError(f"{tsv_path}: malformed row {index + 2}")
-                pairs.append(
-                    LabeledPair(
-                        complex=fields[0],
-                        simple=fields[1],
-                        fres_gap=_parse_score(fields[5]) or 0.0,
-                        provenance="unlabeled",
-                        index=index,
-                        bleu=_parse_score(fields[2]),
-                        fres_complex=_parse_score(fields[3]),
-                        fres_simple=_parse_score(fields[4]),
-                    )
+        lines = iter_lines(tsv_path)
+        header = next(lines, None)
+        if header != _TSV_HEADER:
+            raise ValueError(f"{tsv_path}: header is {header!r}, expected {_TSV_HEADER!r}")
+        for index, line in enumerate(lines):
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise ValueError(f"{tsv_path}: malformed row {index + 2}")
+            pairs.append(
+                LabeledPair(
+                    complex=fields[0],
+                    simple=fields[1],
+                    fres_gap=_parse_score(fields[5]) or 0.0,
+                    provenance="unlabeled",
+                    index=index,
+                    bleu=_parse_score(fields[2]),
+                    fres_complex=_parse_score(fields[3]),
+                    fres_simple=_parse_score(fields[4]),
                 )
+            )
     else:
         raise ValueError(f"unknown corpus format {format!r}")
 

@@ -1,11 +1,21 @@
-"""Corpus construction: pseudo-pair generation, selectors, and labeling.
+"""Corpus construction: pseudo-pair generation, the per-pair selector, and labeling.
 
 A pseudo pair joins a trusted sentence with the machine translation of its
-bridge-language counterpart. The BLEU selector drops misaligned pairs (and
-exact copies); the reading-ease selector keeps pairs whose ease gap clears
-a threshold and labels the easier side as the simple one. Both selectors
-are independent per-pair predicates, so filtering is order-stable,
-idempotent, and safe to fan out across workers.
+bridge-language counterpart. One function decides every pair. It runs the
+enabled checks in this order and stops at the first that drops the pair:
+
+1. BLEU selector: exact copies (equal after NFC normalization) when
+   ``drop_identity`` is set, then sentence BLEU of the translation against
+   the trusted sentence below ``h_bleu``;
+2. reading-ease selector: a side with no countable words, then an ease gap
+   below ``h_fres``, then identical sides (never labeled, even at
+   ``h_fres`` = 0). Survivors are labeled with the easier side as the
+   simple one.
+
+A score is computed only when a check reaches it, so a kept pair carries the
+scores of the enabled selectors and the others stay None (empty in TSV).
+The decision depends on nothing but the pair and the configuration, so
+filtering is order-stable, idempotent, and safe to fan out across workers.
 """
 
 from __future__ import annotations
@@ -13,8 +23,9 @@ from __future__ import annotations
 import random
 import unicodedata
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import Pool
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .metrics import fres, sentence_bleu
 from .textprep import LanguageProfile, get_profile, metric_tokens, tokenize_words
@@ -49,16 +60,6 @@ class SelectorConfig:
         if self.h_fres < 0.0:
             raise ValueError(f"h_fres must be >= 0, got {self.h_fres}")
 
-    def to_dict(self) -> dict:
-        return {
-            "h_bleu": self.h_bleu,
-            "h_fres": self.h_fres,
-            "enable_bleu": self.enable_bleu,
-            "enable_fres": self.enable_fres,
-            "drop_identity": self.drop_identity,
-            "dedup": self.dedup,
-        }
-
 
 @dataclass
 class LabeledPair:
@@ -91,17 +92,6 @@ class DropTally:
     dropped_duplicate: int = 0
     n_kept: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "n_input": self.n_input,
-            "dropped_identity": self.dropped_identity,
-            "dropped_bleu": self.dropped_bleu,
-            "dropped_fres": self.dropped_fres,
-            "dropped_no_words": self.dropped_no_words,
-            "dropped_duplicate": self.dropped_duplicate,
-            "n_kept": self.n_kept,
-        }
-
 
 @dataclass
 class CorpusStats:
@@ -111,15 +101,6 @@ class CorpusStats:
     avg_len_simple: float
     total_pairs: int
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_complex": self.vocab_complex,
-            "vocab_simple": self.vocab_simple,
-            "avg_len_complex": self.avg_len_complex,
-            "avg_len_simple": self.avg_len_simple,
-            "total_pairs": self.total_pairs,
-        }
-
 
 @dataclass
 class SimplificationCorpus:
@@ -128,6 +109,11 @@ class SimplificationCorpus:
     config_snapshot: SelectorConfig
     stats: CorpusStats
     drop_tally: Optional[DropTally] = None
+
+
+# What the selector returns for one pair: the kept pair, or the name of the
+# DropTally field that counts its drop.
+Decision = Union[LabeledPair, str]
 
 
 def generate_pseudo_pairs(
@@ -170,21 +156,72 @@ def _safe_fres(text: str, profile: LanguageProfile) -> Optional[float]:
         return None
 
 
-def score_pair(pair: SentencePair, config: SelectorConfig, profile: LanguageProfile) -> SentencePair:
-    """Fill in the metric fields a configuration needs; pure and order-free."""
+def _select(
+    config: SelectorConfig, profile: Optional[LanguageProfile], pair: SentencePair
+) -> Decision:
+    """Run the enabled selectors on one pair, in the order the module docstring gives.
+
+    Scores already on the pair are reused; missing ones are computed when a
+    check reaches them. ``profile`` is needed only with ``enable_fres``.
+    """
     bleu = pair.bleu
-    if config.enable_bleu and bleu is None:
-        bleu = sentence_bleu(pair.translated_sentence, [pair.source_sentence])
+    if config.enable_bleu:
+        if config.drop_identity and _is_identity(pair):
+            return "dropped_identity"
+        if bleu is None:
+            bleu = sentence_bleu(pair.translated_sentence, [pair.source_sentence])
+        if bleu < config.h_bleu:
+            return "dropped_bleu"
     fres_source = pair.fres_source
     fres_translated = pair.fres_translated
-    if config.enable_fres:
-        if fres_source is None:
-            fres_source = _safe_fres(pair.source_sentence, profile)
-        if fres_translated is None:
-            fres_translated = _safe_fres(pair.translated_sentence, profile)
-    return replace(
-        pair, bleu=bleu, fres_source=fres_source, fres_translated=fres_translated
+    if not config.enable_fres:
+        return LabeledPair(
+            complex=pair.source_sentence,
+            simple=pair.translated_sentence,
+            fres_gap=0.0,
+            provenance="unlabeled",
+            index=pair.index,
+            bleu=bleu,
+            fres_complex=fres_source,
+            fres_simple=fres_translated,
+        )
+    if fres_source is None:
+        fres_source = _safe_fres(pair.source_sentence, profile)
+    if fres_translated is None:
+        fres_translated = _safe_fres(pair.translated_sentence, profile)
+    if fres_source is None or fres_translated is None:
+        return "dropped_no_words"
+    if abs(fres_source - fres_translated) < config.h_fres:
+        return "dropped_fres"
+    if _is_identity(pair):
+        return "dropped_identity"
+    # The side with the higher reading-ease score is the simple one.
+    if fres_translated >= fres_source:
+        return LabeledPair(
+            complex=pair.source_sentence,
+            simple=pair.translated_sentence,
+            fres_gap=fres_translated - fres_source,
+            provenance="translated",
+            index=pair.index,
+            bleu=bleu,
+            fres_complex=fres_source,
+            fres_simple=fres_translated,
+        )
+    return LabeledPair(
+        complex=pair.translated_sentence,
+        simple=pair.source_sentence,
+        fres_gap=fres_source - fres_translated,
+        provenance="source",
+        index=pair.index,
+        bleu=bleu,
+        fres_complex=fres_translated,
+        fres_simple=fres_source,
     )
+
+
+def _count_drop(tally: Optional[DropTally], reason: str) -> None:
+    if tally is not None:
+        setattr(tally, reason, getattr(tally, reason) + 1)
 
 
 def bleu_selector(
@@ -195,50 +232,18 @@ def bleu_selector(
     """Keep pairs whose translation scores >= h_bleu against the source.
 
     Exact copies (equal after NFC normalization) are dropped first when
-    ``drop_identity`` is set. Survivors carry their BLEU score; input order
-    is preserved.
+    ``drop_identity`` is set. Survivors are copies that carry their BLEU
+    score; the input pairs are not changed, and input order is preserved.
     """
     if not config.enable_bleu:
         raise ValueError("bleu_selector called with enable_bleu=False")
+    config = replace(config, enable_fres=False)
     for pair in pairs:
-        if config.drop_identity and _is_identity(pair):
-            if tally:
-                tally.dropped_identity += 1
-            continue
-        bleu = pair.bleu
-        if bleu is None:
-            bleu = sentence_bleu(pair.translated_sentence, [pair.source_sentence])
-        if bleu < config.h_bleu:
-            if tally:
-                tally.dropped_bleu += 1
-            continue
-        pair.bleu = bleu
-        yield pair
-
-
-def _label(pair: SentencePair, fres_source: float, fres_translated: float) -> LabeledPair:
-    # The side with the higher reading-ease score is the simple one.
-    if fres_translated >= fres_source:
-        return LabeledPair(
-            complex=pair.source_sentence,
-            simple=pair.translated_sentence,
-            fres_gap=fres_translated - fres_source,
-            provenance="translated",
-            index=pair.index,
-            bleu=pair.bleu,
-            fres_complex=fres_source,
-            fres_simple=fres_translated,
-        )
-    return LabeledPair(
-        complex=pair.translated_sentence,
-        simple=pair.source_sentence,
-        fres_gap=fres_source - fres_translated,
-        provenance="source",
-        index=pair.index,
-        bleu=pair.bleu,
-        fres_complex=fres_translated,
-        fres_simple=fres_source,
-    )
+        decision = _select(config, None, pair)
+        if isinstance(decision, str):
+            _count_drop(tally, decision)
+        else:
+            yield replace(pair, bleu=decision.bleu)
 
 
 def fres_selector(
@@ -255,107 +260,51 @@ def fres_selector(
     """
     if not config.enable_fres:
         raise ValueError("fres_selector called with enable_fres=False")
+    config = replace(config, enable_bleu=False)
     for pair in pairs:
-        fres_source = pair.fres_source
-        if fres_source is None:
-            fres_source = _safe_fres(pair.source_sentence, profile)
-        fres_translated = pair.fres_translated
-        if fres_translated is None:
-            fres_translated = _safe_fres(pair.translated_sentence, profile)
-        if fres_source is None or fres_translated is None:
-            if tally:
-                tally.dropped_no_words += 1
-            continue
-        if abs(fres_source - fres_translated) < config.h_fres:
-            if tally:
-                tally.dropped_fres += 1
-            continue
-        if _is_identity(pair):
-            if tally:
-                tally.dropped_identity += 1
-            continue
-        pair.fres_source = fres_source
-        pair.fres_translated = fres_translated
-        yield _label(pair, fres_source, fres_translated)
-
-
-def _decide(
-    scored_pairs: Iterable[SentencePair],
-    config: SelectorConfig,
-    tally: DropTally,
-) -> Iterator[LabeledPair]:
-    """Apply the configured selectors to pre-scored pairs, in order."""
-    seen: set[tuple[str, str]] = set()
-    for pair in scored_pairs:
-        tally.n_input += 1
-        if config.enable_bleu:
-            if config.drop_identity and _is_identity(pair):
-                tally.dropped_identity += 1
-                continue
-            if pair.bleu is None or pair.bleu < config.h_bleu:
-                tally.dropped_bleu += 1
-                continue
-        if config.enable_fres:
-            if pair.fres_source is None or pair.fres_translated is None:
-                tally.dropped_no_words += 1
-                continue
-            if abs(pair.fres_source - pair.fres_translated) < config.h_fres:
-                tally.dropped_fres += 1
-                continue
-            if _is_identity(pair):
-                tally.dropped_identity += 1
-                continue
-            labeled = _label(pair, pair.fres_source, pair.fres_translated)
+        decision = _select(config, profile, pair)
+        if isinstance(decision, str):
+            _count_drop(tally, decision)
         else:
-            labeled = LabeledPair(
-                complex=pair.source_sentence,
-                simple=pair.translated_sentence,
-                fres_gap=0.0,
-                provenance="unlabeled",
-                index=pair.index,
-                bleu=pair.bleu,
-                fres_complex=pair.fres_source,
-                fres_simple=pair.fres_translated,
-            )
-        if config.dedup:
-            key = (labeled.complex, labeled.simple)
-            if key in seen:
-                tally.dropped_duplicate += 1
-                continue
-            seen.add(key)
-        tally.n_kept += 1
-        yield labeled
+            yield decision
 
 
-# Worker-side state for multiprocessing; set once per worker by _init_worker.
-_WORKER_CONFIG: Optional[SelectorConfig] = None
-_WORKER_PROFILE: Optional[LanguageProfile] = None
-
-
-def _init_worker(config: SelectorConfig, profile: LanguageProfile) -> None:
-    global _WORKER_CONFIG, _WORKER_PROFILE
-    _WORKER_CONFIG = config
-    _WORKER_PROFILE = profile
-
-
-def _score_in_worker(pair: SentencePair) -> SentencePair:
-    return score_pair(pair, _WORKER_CONFIG, _WORKER_PROFILE)
-
-
-def _scored_stream(
-    pairs: Iterable[SentencePair],
-    config: SelectorConfig,
-    profile: LanguageProfile,
-    workers: int,
-) -> Iterator[SentencePair]:
+def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterator:
     if workers <= 1:
-        for pair in pairs:
-            yield score_pair(pair, config, profile)
+        yield from map(func, pairs)
         return
     # imap preserves input order, so the merged stream is bit-identical to
     # the single-worker run regardless of scheduling.
-    with Pool(workers, initializer=_init_worker, initargs=(config, profile)) as pool:
-        yield from pool.imap(_score_in_worker, pairs, chunksize=256)
+    with Pool(workers) as pool:
+        yield from pool.imap(func, pairs, chunksize=256)
+
+
+def _collect(
+    decisions: Iterable[Decision], config: SelectorConfig, profile: LanguageProfile
+) -> SimplificationCorpus:
+    """Tally the decisions, drop repeated (complex, simple) pairs under ``dedup``."""
+    tally = DropTally()
+    kept: list[LabeledPair] = []
+    seen: set[tuple[str, str]] = set()
+    for decision in decisions:
+        tally.n_input += 1
+        if not isinstance(decision, str) and config.dedup:
+            key = (decision.complex, decision.simple)
+            if key in seen:
+                decision = "dropped_duplicate"
+            seen.add(key)
+        if isinstance(decision, str):
+            _count_drop(tally, decision)
+        else:
+            kept.append(decision)
+    tally.n_kept = len(kept)
+    return SimplificationCorpus(
+        pairs=kept,
+        lang=profile.lang_code,
+        config_snapshot=config,
+        stats=compute_corpus_stats(kept, profile),
+        drop_tally=tally,
+    )
 
 
 def build_corpus(
@@ -367,16 +316,8 @@ def build_corpus(
 ) -> SimplificationCorpus:
     """Generate, score, filter, and label; returns the corpus plus drop tallies."""
     pairs = generate_pseudo_pairs(bitext_targets, translations)
-    tally = DropTally()
-    scored = _scored_stream(pairs, config, profile, workers)
-    kept = list(_decide(scored, config, tally))
-    return SimplificationCorpus(
-        pairs=kept,
-        lang=profile.lang_code,
-        config_snapshot=config,
-        stats=compute_corpus_stats(kept, profile),
-        drop_tally=tally,
-    )
+    decisions = _map(partial(_select, config, profile), pairs, workers)
+    return _collect(decisions, config, profile)
 
 
 def compute_corpus_stats(pairs: list[LabeledPair], profile: LanguageProfile) -> CorpusStats:
@@ -400,11 +341,16 @@ def compute_corpus_stats(pairs: list[LabeledPair], profile: LanguageProfile) -> 
     )
 
 
-def corpus_stats(corpus: SimplificationCorpus) -> CorpusStats:
-    return compute_corpus_stats(corpus.pairs, get_profile(corpus.lang))
-
-
 ABLATION_VARIANTS = ("pseudo", "no_bleu", "no_fres", "full")
+
+
+def _score_all(profile: LanguageProfile, pair: SentencePair) -> SentencePair:
+    return replace(
+        pair,
+        bleu=sentence_bleu(pair.translated_sentence, [pair.source_sentence]),
+        fres_source=_safe_fres(pair.source_sentence, profile),
+        fres_translated=_safe_fres(pair.translated_sentence, profile),
+    )
 
 
 def ablate(
@@ -420,11 +366,10 @@ def ablate(
     only), "no_fres" (BLEU selector only), and "full".
     """
     base = config or SelectorConfig()
-    # Score once with everything enabled; each variant then filters the
-    # cached scores. Holds all pairs in memory, sized for ablation studies.
-    score_config = replace(base, enable_bleu=True, enable_fres=True)
+    # Score once; each variant then decides on the cached scores. Holds all
+    # pairs in memory, sized for ablation studies.
     pairs = generate_pseudo_pairs(bitext_targets, translations)
-    scored = list(_scored_stream(pairs, score_config, profile, workers))
+    scored = list(_map(partial(_score_all, profile), pairs, workers))
 
     variant_configs = {
         "pseudo": replace(base, enable_bleu=False, enable_fres=False),
@@ -432,18 +377,10 @@ def ablate(
         "no_fres": replace(base, enable_bleu=True, enable_fres=False),
         "full": replace(base, enable_bleu=True, enable_fres=True),
     }
-    variants = {}
-    for name, variant_config in variant_configs.items():
-        tally = DropTally()
-        kept = list(_decide(scored, variant_config, tally))
-        variants[name] = SimplificationCorpus(
-            pairs=kept,
-            lang=profile.lang_code,
-            config_snapshot=variant_config,
-            stats=compute_corpus_stats(kept, profile),
-            drop_tally=tally,
-        )
-    return variants
+    return {
+        name: _collect((_select(variant, profile, pair) for pair in scored), variant, profile)
+        for name, variant in variant_configs.items()
+    }
 
 
 def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCorpus:

@@ -1,21 +1,31 @@
 import json
+import tempfile
+import unicodedata
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import make_aligned_streams
 
 from sscorpus.ingest import (
-    BitextSource,
     TranslationSource,
     count_lines,
     iter_lines,
-    open_bitext,
+    open_aligned,
     read_corpus,
     read_eval_dataset,
     translate,
     write_corpus,
 )
-from sscorpus.pipeline import SelectorConfig, build_corpus
+from sscorpus.pipeline import (
+    LabeledPair,
+    SelectorConfig,
+    SimplificationCorpus,
+    build_corpus,
+    compute_corpus_stats,
+)
 from sscorpus.textprep import get_profile
 
 EN = get_profile("en")
@@ -59,57 +69,60 @@ class TestOpenBitext:
     def test_streams_pairs_in_order(self, tmp_path):
         target = write(tmp_path / "t.txt", ["t1", "t2", "t3"])
         bridge = write(tmp_path / "b.txt", ["b1", "b2", "b3"])
-        pairs = list(open_bitext(BitextSource(target, bridge)))
+        pairs = list(zip(*open_aligned(target, bridge)))
         assert pairs == [("t1", "b1"), ("t2", "b2"), ("t3", "b3")]
 
     def test_mismatch_reports_both_counts(self, tmp_path):
         target = write(tmp_path / "t.txt", ["a", "b", "c"])
         bridge = write(tmp_path / "b.txt", ["w", "x", "y", "z"])
         with pytest.raises(ValueError, match=r"3 lines .* vs 4 lines"):
-            open_bitext(BitextSource(target, bridge))
+            open_aligned(target, bridge)
 
     def test_empty_files(self, tmp_path):
         target = tmp_path / "t.txt"
         bridge = tmp_path / "b.txt"
         target.write_bytes(b"")
         bridge.write_bytes(b"")
-        assert list(open_bitext(BitextSource(target, bridge))) == []
+        assert list(zip(*open_aligned(target, bridge))) == []
 
 
 class TestTranslate:
     def test_precomputed_reads_file_verbatim(self, tmp_path):
+        target = write(tmp_path / "t.txt", ["a", "b", "c"])
         path = write(tmp_path / "mt.txt", ["one", "two", "three"])
-        source = TranslationSource("precomputed", str(path))
-        assert list(translate(iter(()), source)) == ["one", "two", "three"]
+        _, translations = open_aligned(target, path)
+        assert list(translations) == ["one", "two", "three"]
 
     def test_external_identity_command(self):
         lines = [f"sentence number {i}" for i in range(37)]
-        source = TranslationSource("external", "cat", batch_size=8)
+        source = TranslationSource("cat", batch_size=8)
         assert list(translate(iter(lines), source)) == lines
 
     def test_external_empty_input(self):
-        source = TranslationSource("external", "cat", batch_size=4)
+        source = TranslationSource("cat", batch_size=4)
         assert list(translate(iter([]), source)) == []
 
     def test_external_short_output_reports_batch(self):
         lines = [f"line {i}" for i in range(10)]
-        source = TranslationSource("external", "head -n 2", batch_size=4)
+        source = TranslationSource("head -n 2", batch_size=4)
         with pytest.raises(RuntimeError, match="batch 0"):
             list(translate(iter(lines), source))
 
     def test_external_failing_command(self):
-        source = TranslationSource("external", "false", batch_size=2)
+        source = TranslationSource("false", batch_size=2)
         with pytest.raises(RuntimeError, match="exit code 1"):
             list(translate(iter(["a", "b"]), source))
 
     def test_external_timeout(self):
-        source = TranslationSource("external", "sleep 30", batch_size=2, timeout=0.3)
+        source = TranslationSource("sleep 30", batch_size=2, timeout=0.3)
         with pytest.raises(RuntimeError, match="timed out"):
             list(translate(iter(["a", "b"]), source))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown translation mode"):
-            TranslationSource("magic", "cat")
+    def test_external_open_after_last_batch(self):
+        # Answers every line, then keeps stdout open instead of exiting.
+        source = TranslationSource("sh -c 'cat; exec sleep 30'", batch_size=2, timeout=0.5)
+        with pytest.raises(RuntimeError, match=r"did not exit within 0\.5s"):
+            list(translate(iter(["a", "b", "c"]), source))
 
 
 class TestCorpusPersistence:
@@ -165,6 +178,72 @@ class TestCorpusPersistence:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown corpus format"):
             write_corpus(self.build(), tmp_path / "out", format="xml")
+
+    def test_tsv_keeps_carriage_return_and_rejects_tab(self, tmp_path):
+        kept = text_corpus([("a\rb", "c d")])
+        write_corpus(kept, tmp_path / "cr", format="tsv")
+        assert [(p.complex, p.simple) for p in read_corpus(tmp_path / "cr", "tsv").pairs] == [
+            ("a\rb", "c d")
+        ]
+        tabbed = text_corpus([("fine", "fine too"), ("a\tb", "c")])
+        with pytest.raises(ValueError, match="pair 1"):
+            write_corpus(tabbed, tmp_path / "tab", format="tsv")
+        assert list(tmp_path.glob("tab*")) == []
+        write_corpus(tabbed, tmp_path / "tab", format="plain")
+        assert read_corpus(tmp_path / "tab").pairs[1].complex == "a\tb"
+
+    def test_tsv_header_is_checked(self, tmp_path):
+        write_corpus(self.build(), tmp_path / "out", format="tsv")
+        path = tmp_path / "out.tsv"
+        path.write_bytes(b"complex\tsimple\n" + path.read_bytes().split(b"\n", 1)[1])
+        with pytest.raises(ValueError, match="header"):
+            read_corpus(tmp_path / "out", format="tsv")
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="header"):
+            read_corpus(tmp_path / "out", format="tsv")
+
+
+def text_corpus(sentence_pairs) -> SimplificationCorpus:
+    pairs = [
+        LabeledPair(complex, simple, 0.0, "unlabeled", index)
+        for index, (complex, simple) in enumerate(sentence_pairs)
+    ]
+    return SimplificationCorpus(pairs, "en", SelectorConfig(), compute_corpus_stats(pairs, EN))
+
+
+def readable(text: str, format: str) -> bool:
+    """The write rule: what each format can give back unchanged."""
+    return "\n" not in text and not text.endswith("\r") and (format == "plain" or "\t" not in text)
+
+
+NFC_TEXT = st.text(
+    st.one_of(st.sampled_from("\t\r\n \u0301"), st.characters(blacklist_categories=("Cs",))),
+    max_size=12,
+).map(lambda text: unicodedata.normalize("NFC", text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    format=st.sampled_from(["plain", "tsv"]),
+    sentence_pairs=st.lists(st.tuples(NFC_TEXT, NFC_TEXT), max_size=4),
+)
+def test_round_trip_or_rejection_property(format, sentence_pairs):
+    corpus = text_corpus(sentence_pairs)
+    bad = [
+        index
+        for index, pair in enumerate(sentence_pairs)
+        if not all(readable(text, format) for text in pair)
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        prefix = Path(directory) / "c"
+        if bad:
+            with pytest.raises(ValueError, match=f"pair {bad[0]}:"):
+                write_corpus(corpus, prefix, format=format)
+            assert list(Path(directory).iterdir()) == []
+            return
+        write_corpus(corpus, prefix, format=format)
+        loaded = read_corpus(prefix, format=format)
+    assert [(p.complex, p.simple) for p in loaded.pairs] == sentence_pairs
 
 
 class TestEvalDataset:

@@ -10,7 +10,6 @@ from sscorpus.pipeline import (
     bleu_selector,
     build_corpus,
     compute_corpus_stats,
-    corpus_stats,
     fres_selector,
     generate_pseudo_pairs,
     subset,
@@ -108,6 +107,7 @@ class TestBleuSelector:
         assert survivor.bleu == pytest.approx(
             sentence_bleu(survivor.translated_sentence, [survivor.source_sentence]), abs=1e-12
         )
+        assert pair.bleu is None
 
     def test_disabled_config_rejected(self):
         with pytest.raises(ValueError, match="enable_bleu"):
@@ -347,7 +347,7 @@ class TestCorpusStats:
 
     def test_empty_corpus_is_all_zeros(self):
         corpus = build_corpus([], [], SelectorConfig(), EN)
-        stats = corpus_stats(corpus)
+        stats = compute_corpus_stats(corpus.pairs, get_profile(corpus.lang))
         assert (stats.vocab_complex, stats.vocab_simple, stats.total_pairs) == (0, 0, 0)
         assert stats.avg_len_complex == 0.0
 
