@@ -42,7 +42,6 @@ from .textprep import (
     get_profile,
     split_sentences,
     text_stats,
-    tokenize_metric,
     tokenize_words,
 )
 

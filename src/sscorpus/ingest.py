@@ -94,9 +94,12 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
     out_queue: queue.Queue = queue.Queue()
     in_queue: queue.Queue = queue.Queue(maxsize=2)  # one batch of read-ahead
 
+    # Each pipe is closed by the thread that uses it: closing it from another
+    # thread would block on a pending read or break a pending write.
     def read_stdout():
-        for raw in proc.stdout:
-            out_queue.put(raw)
+        with proc.stdout:
+            for raw in proc.stdout:
+                out_queue.put(raw)
         out_queue.put(eof)
 
     def write_stdin():
@@ -105,9 +108,23 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
                 for line in batch:
                     proc.stdin.write((line + "\n").encode("utf-8"))
                 proc.stdin.flush()
-            proc.stdin.close()
         except OSError:
             pass  # child died; the reader side reports the failure
+        finally:
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass  # unflushed lines to a dead child
+
+    def wait_exit(when: str) -> None:
+        # The translator closed its stdout; it should exit right after.
+        try:
+            proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise RuntimeError(
+                f"translator closed its output {when} but did not exit within {timeout:g}s"
+            ) from None
 
     threading.Thread(target=read_stdout, daemon=True).start()
     threading.Thread(target=write_stdin, daemon=True).start()
@@ -126,7 +143,7 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
                     f"(lines {start_line}-{start_line + len(batch) - 1})"
                 ) from None
             if raw is eof:
-                proc.wait(timeout=10)
+                wait_exit(f"at batch {batch_index}")
                 if proc.returncode:
                     raise RuntimeError(
                         f"translator command failed with exit code {proc.returncode} "
@@ -170,7 +187,7 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
         if leftover is not eof:
             proc.kill()
             raise RuntimeError("translator produced more output lines than input lines")
-        proc.wait(timeout=10)
+        wait_exit("after the last batch")
         if proc.returncode:
             raise RuntimeError(f"translator command failed with exit code {proc.returncode}")
     finally:

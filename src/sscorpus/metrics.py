@@ -15,7 +15,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .textprep import LanguageProfile, metric_tokens, split_sentences, text_stats
 
@@ -187,32 +188,12 @@ def corpus_fres(texts: Sequence[str], profile: LanguageProfile) -> float:
 
 
 def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
-    counts: Counter = Counter()
-    for n in range(1, max_order + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
-
-
-def _ref_ngrams_and_closest_len(
-    hyp_len: int, refs_tokens: Sequence[Sequence[str]], max_order: int
-) -> tuple[Counter, int]:
-    # Per-ngram max over references (modified precision clipping); closest
-    # reference length, ties resolved toward the shorter reference.
-    merged: Counter = Counter()
-    closest_diff = None
-    closest_len = 0
-    for ref in refs_tokens:
-        ref_len = len(ref)
-        diff = abs(hyp_len - ref_len)
-        if closest_diff is None or diff < closest_diff:
-            closest_diff, closest_len = diff, ref_len
-        elif diff == closest_diff and ref_len < closest_len:
-            closest_len = ref_len
-        for gram, count in _ngram_counts(ref, max_order).items():
-            if count > merged[gram]:
-                merged[gram] = count
-    return merged, closest_len
+    """Counts of every n-gram of orders 1..max_order, each keyed by its token tuple."""
+    return Counter(
+        chain.from_iterable(
+            zip(*[tokens[i:] for i in range(n)]) for n in range(1, max_order + 1)
+        )
+    )
 
 
 def _accumulate_bleu_stats(
@@ -222,12 +203,22 @@ def _accumulate_bleu_stats(
     total: list[int],
     max_order: int,
 ) -> tuple[int, int]:
-    ref_ngrams, closest_len = _ref_ngrams_and_closest_len(len(hyp_tokens), refs_tokens, max_order)
+    # Modified precision: each hypothesis n-gram is clipped to its largest
+    # count in any one reference.
+    ref_counts = _ngram_counts(refs_tokens[0], max_order)
+    for ref in refs_tokens[1:]:
+        ref_counts |= _ngram_counts(ref, max_order)
+    in_ref = ref_counts.get
     for gram, count in _ngram_counts(hyp_tokens, max_order).items():
-        n = len(gram)
-        correct[n - 1] += min(count, ref_ngrams.get(gram, 0))
-        total[n - 1] += count
-    return len(hyp_tokens), closest_len
+        ref_count = in_ref(gram)
+        if ref_count:
+            correct[len(gram) - 1] += count if count < ref_count else ref_count
+    hyp_len = len(hyp_tokens)
+    for n in range(1, min(max_order, hyp_len) + 1):
+        total[n - 1] += hyp_len - n + 1
+    # The closest reference length; ties go to the shorter reference.
+    closest_len = min((abs(hyp_len - len(ref)), len(ref)) for ref in refs_tokens)[1]
+    return hyp_len, closest_len
 
 
 def _log(value: float) -> float:
@@ -265,6 +256,29 @@ def _bleu_score(
     return brevity_penalty * math.exp(sum(_log(p) for p in precisions[:order]) / order)
 
 
+def _token_bleu(
+    items: Iterable[tuple[Sequence[str], Sequence[Sequence[str]]]],
+    max_order: int,
+    effective_order: bool,
+) -> float:
+    """BLEU over already tokenized ``(hypothesis, references)`` items, statistics pooled.
+
+    Every item needs at least one reference. One item with ``effective_order``
+    is sentence BLEU; many items without it are corpus BLEU.
+    """
+    correct = [0] * max_order
+    total = [0] * max_order
+    sys_len = 0
+    ref_len = 0
+    for hyp_tokens, refs_tokens in items:
+        item_sys, item_ref = _accumulate_bleu_stats(
+            hyp_tokens, refs_tokens, correct, total, max_order
+        )
+        sys_len += item_sys
+        ref_len += item_ref
+    return _bleu_score(correct, total, sys_len, ref_len, max_order, effective_order)
+
+
 def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = MAX_NGRAM_ORDER) -> float:
     """Sentence-level BLEU in [0, 100], case-sensitive 13a tokens.
 
@@ -273,12 +287,8 @@ def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = M
     """
     if not references:
         raise ValueError("at least one reference is required")
-    hyp_tokens = metric_tokens(hypothesis)
-    refs_tokens = [metric_tokens(r) for r in references]
-    correct = [0] * max_order
-    total = [0] * max_order
-    sys_len, ref_len = _accumulate_bleu_stats(hyp_tokens, refs_tokens, correct, total, max_order)
-    return _bleu_score(correct, total, sys_len, ref_len, max_order, effective_order=True)
+    item = (metric_tokens(hypothesis), [metric_tokens(r) for r in references])
+    return _token_bleu([item], max_order, effective_order=True)
 
 
 def corpus_bleu(
@@ -291,21 +301,13 @@ def corpus_bleu(
         raise ValueError(
             f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}"
         )
-    correct = [0] * max_order
-    total = [0] * max_order
-    sys_len = 0
-    ref_len = 0
-    for hypothesis, refs in zip(hypotheses, references):
-        if not refs:
-            raise ValueError("every hypothesis needs at least one reference")
-        hyp_tokens = metric_tokens(hypothesis)
-        refs_tokens = [metric_tokens(r) for r in refs]
-        item_sys, item_ref = _accumulate_bleu_stats(
-            hyp_tokens, refs_tokens, correct, total, max_order
-        )
-        sys_len += item_sys
-        ref_len += item_ref
-    return _bleu_score(correct, total, sys_len, ref_len, max_order, effective_order=False)
+    if not all(references):
+        raise ValueError("every hypothesis needs at least one reference")
+    items = (
+        (metric_tokens(hypothesis), [metric_tokens(r) for r in refs])
+        for hypothesis, refs in zip(hypotheses, references)
+    )
+    return _token_bleu(items, max_order, effective_order=False)
 
 
 # --- SARI ---

@@ -16,6 +16,10 @@ A score is computed only when a check reaches it, so a kept pair carries the
 scores of the enabled selectors and the others stay None (empty in TSV).
 The decision depends on nothing but the pair and the configuration, so
 filtering is order-stable, idempotent, and safe to fan out across workers.
+
+Each side is 13a-tokenized at most once. The BLEU check hands its tokens on
+with a kept pair, and the corpus statistics are accumulated from them as
+pairs are kept, so a build holds no token lists past the pair they belong to.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .metrics import fres, sentence_bleu
+from .metrics import MAX_NGRAM_ORDER, _token_bleu, fres
 from .textprep import LanguageProfile, get_profile, metric_tokens, tokenize_words
 
 _SENTINEL = object()
@@ -111,9 +115,18 @@ class SimplificationCorpus:
     drop_tally: Optional[DropTally] = None
 
 
-# What the selector returns for one pair: the kept pair, or the name of the
-# DropTally field that counts its drop.
-Decision = Union[LabeledPair, str]
+# The 13a tokens of a kept pair's (complex, simple) sides, or None where no
+# check tokenized them.
+Tokens = Optional[tuple[list[str], list[str]]]
+
+# What the selector returns for one pair: the kept pair with its tokens, or
+# the name of the DropTally field that counts its drop.
+Decision = Union[tuple[LabeledPair, Tokens], str]
+
+# All three scores and both sides' tokens of one pair, computed up front by
+# ``ablate``: (source tokens, translated tokens, bleu, fres_source,
+# fres_translated). A None reading ease here means "no countable words".
+Scores = tuple[list[str], list[str], float, Optional[float], Optional[float]]
 
 
 def generate_pseudo_pairs(
@@ -156,26 +169,39 @@ def _safe_fres(text: str, profile: LanguageProfile) -> Optional[float]:
         return None
 
 
+def _sentence_bleu(translated_tokens: list[str], source_tokens: list[str]) -> float:
+    return _token_bleu([(translated_tokens, [source_tokens])], MAX_NGRAM_ORDER, True)
+
+
 def _select(
-    config: SelectorConfig, profile: Optional[LanguageProfile], pair: SentencePair
+    config: SelectorConfig,
+    profile: Optional[LanguageProfile],
+    pair: SentencePair,
+    scores: Optional[Scores] = None,
 ) -> Decision:
     """Run the enabled selectors on one pair, in the order the module docstring gives.
 
-    Scores already on the pair are reused; missing ones are computed when a
-    check reaches them. ``profile`` is needed only with ``enable_fres``.
+    Without ``scores``, scores already on the pair are reused and missing
+    ones are computed when a check reaches them; with ``scores``, nothing is
+    computed. ``profile`` is needed only with ``enable_fres``.
     """
-    bleu = pair.bleu
+    if scores is None:
+        source_tokens = translated_tokens = None
+        bleu, fres_source, fres_translated = pair.bleu, pair.fres_source, pair.fres_translated
+    else:
+        source_tokens, translated_tokens, bleu, fres_source, fres_translated = scores
     if config.enable_bleu:
         if config.drop_identity and _is_identity(pair):
             return "dropped_identity"
         if bleu is None:
-            bleu = sentence_bleu(pair.translated_sentence, [pair.source_sentence])
+            source_tokens = metric_tokens(pair.source_sentence)
+            translated_tokens = metric_tokens(pair.translated_sentence)
+            bleu = _sentence_bleu(translated_tokens, source_tokens)
         if bleu < config.h_bleu:
             return "dropped_bleu"
-    fres_source = pair.fres_source
-    fres_translated = pair.fres_translated
+    tokens = None if source_tokens is None else (source_tokens, translated_tokens)
     if not config.enable_fres:
-        return LabeledPair(
+        kept = LabeledPair(
             complex=pair.source_sentence,
             simple=pair.translated_sentence,
             fres_gap=0.0,
@@ -185,10 +211,12 @@ def _select(
             fres_complex=fres_source,
             fres_simple=fres_translated,
         )
-    if fres_source is None:
-        fres_source = _safe_fres(pair.source_sentence, profile)
-    if fres_translated is None:
-        fres_translated = _safe_fres(pair.translated_sentence, profile)
+        return kept, tokens
+    if scores is None:
+        if fres_source is None:
+            fres_source = _safe_fres(pair.source_sentence, profile)
+        if fres_translated is None:
+            fres_translated = _safe_fres(pair.translated_sentence, profile)
     if fres_source is None or fres_translated is None:
         return "dropped_no_words"
     if abs(fres_source - fres_translated) < config.h_fres:
@@ -197,7 +225,7 @@ def _select(
         return "dropped_identity"
     # The side with the higher reading-ease score is the simple one.
     if fres_translated >= fres_source:
-        return LabeledPair(
+        kept = LabeledPair(
             complex=pair.source_sentence,
             simple=pair.translated_sentence,
             fres_gap=fres_translated - fres_source,
@@ -207,7 +235,8 @@ def _select(
             fres_complex=fres_source,
             fres_simple=fres_translated,
         )
-    return LabeledPair(
+        return kept, tokens
+    kept = LabeledPair(
         complex=pair.translated_sentence,
         simple=pair.source_sentence,
         fres_gap=fres_source - fres_translated,
@@ -217,6 +246,7 @@ def _select(
         fres_complex=fres_translated,
         fres_simple=fres_source,
     )
+    return kept, None if tokens is None else (translated_tokens, source_tokens)
 
 
 def _count_drop(tally: Optional[DropTally], reason: str) -> None:
@@ -243,7 +273,7 @@ def bleu_selector(
         if isinstance(decision, str):
             _count_drop(tally, decision)
         else:
-            yield replace(pair, bleu=decision.bleu)
+            yield replace(pair, bleu=decision[0].bleu)
 
 
 def fres_selector(
@@ -266,7 +296,7 @@ def fres_selector(
         if isinstance(decision, str):
             _count_drop(tally, decision)
         else:
-            yield decision
+            yield decision[0]
 
 
 def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterator:
@@ -279,32 +309,84 @@ def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterato
         yield from pool.imap(func, pairs, chunksize=256)
 
 
-def _collect(
-    decisions: Iterable[Decision], config: SelectorConfig, profile: LanguageProfile
-) -> SimplificationCorpus:
-    """Tally the decisions, drop repeated (complex, simple) pairs under ``dedup``."""
-    tally = DropTally()
-    kept: list[LabeledPair] = []
-    seen: set[tuple[str, str]] = set()
-    for decision in decisions:
-        tally.n_input += 1
-        if not isinstance(decision, str) and config.dedup:
-            key = (decision.complex, decision.simple)
-            if key in seen:
+class _StatsAccumulator:
+    """Corpus statistics folded in one kept pair at a time."""
+
+    def __init__(self) -> None:
+        self.vocab_complex: set[str] = set()
+        self.vocab_simple: set[str] = set()
+        self.words_complex = 0
+        self.words_simple = 0
+        self.total = 0
+
+    def add(self, pair: LabeledPair, tokens: Tokens = None) -> None:
+        """Count ``pair``; ``tokens`` are its sides' 13a tokens when already known."""
+        if tokens is None:
+            tokens = (metric_tokens(pair.complex), metric_tokens(pair.simple))
+        self.vocab_complex.update(tokens[0])
+        self.vocab_simple.update(tokens[1])
+        self.words_complex += len(tokenize_words(pair.complex).tokens)
+        self.words_simple += len(tokenize_words(pair.simple).tokens)
+        self.total += 1
+
+    def stats(self) -> CorpusStats:
+        total = self.total
+        return CorpusStats(
+            vocab_complex=len(self.vocab_complex),
+            vocab_simple=len(self.vocab_simple),
+            avg_len_complex=self.words_complex / total if total else 0.0,
+            avg_len_simple=self.words_simple / total if total else 0.0,
+            total_pairs=total,
+        )
+
+
+def compute_corpus_stats(pairs: Iterable[LabeledPair], profile: LanguageProfile) -> CorpusStats:
+    """Distinct-token vocabulary and mean word length per side."""
+    del profile  # the counts are the same under every profile
+    accumulator = _StatsAccumulator()
+    for pair in pairs:
+        accumulator.add(pair)
+    return accumulator.stats()
+
+
+class _Collector:
+    """One configuration's corpus, built from its decisions as they arrive.
+
+    Tallies the drops, drops repeated (complex, simple) pairs under
+    ``dedup``, and accumulates the statistics of each kept pair.
+    """
+
+    def __init__(self, config: SelectorConfig, profile: LanguageProfile) -> None:
+        self.config = config
+        self.lang = profile.lang_code
+        self.tally = DropTally()
+        self.kept: list[LabeledPair] = []
+        self.seen: set[tuple[str, str]] = set()
+        self.stats = _StatsAccumulator()
+
+    def add(self, decision: Decision) -> None:
+        self.tally.n_input += 1
+        if not isinstance(decision, str) and self.config.dedup:
+            key = (decision[0].complex, decision[0].simple)
+            if key in self.seen:
                 decision = "dropped_duplicate"
-            seen.add(key)
+            self.seen.add(key)
         if isinstance(decision, str):
-            _count_drop(tally, decision)
+            _count_drop(self.tally, decision)
         else:
-            kept.append(decision)
-    tally.n_kept = len(kept)
-    return SimplificationCorpus(
-        pairs=kept,
-        lang=profile.lang_code,
-        config_snapshot=config,
-        stats=compute_corpus_stats(kept, profile),
-        drop_tally=tally,
-    )
+            pair, tokens = decision
+            self.kept.append(pair)
+            self.stats.add(pair, tokens)
+
+    def corpus(self) -> SimplificationCorpus:
+        self.tally.n_kept = len(self.kept)
+        return SimplificationCorpus(
+            pairs=self.kept,
+            lang=self.lang,
+            config_snapshot=self.config,
+            stats=self.stats.stats(),
+            drop_tally=self.tally,
+        )
 
 
 def build_corpus(
@@ -316,40 +398,24 @@ def build_corpus(
 ) -> SimplificationCorpus:
     """Generate, score, filter, and label; returns the corpus plus drop tallies."""
     pairs = generate_pseudo_pairs(bitext_targets, translations)
-    decisions = _map(partial(_select, config, profile), pairs, workers)
-    return _collect(decisions, config, profile)
-
-
-def compute_corpus_stats(pairs: list[LabeledPair], profile: LanguageProfile) -> CorpusStats:
-    """Distinct-token vocabulary and mean word length per side."""
-    vocab_complex: set[str] = set()
-    vocab_simple: set[str] = set()
-    words_complex = 0
-    words_simple = 0
-    for pair in pairs:
-        vocab_complex.update(metric_tokens(pair.complex))
-        vocab_simple.update(metric_tokens(pair.simple))
-        words_complex += len(tokenize_words(pair.complex, profile).tokens)
-        words_simple += len(tokenize_words(pair.simple, profile).tokens)
-    total = len(pairs)
-    return CorpusStats(
-        vocab_complex=len(vocab_complex),
-        vocab_simple=len(vocab_simple),
-        avg_len_complex=words_complex / total if total else 0.0,
-        avg_len_simple=words_simple / total if total else 0.0,
-        total_pairs=total,
-    )
+    collector = _Collector(config, profile)
+    for decision in _map(partial(_select, config, profile), pairs, workers):
+        collector.add(decision)
+    return collector.corpus()
 
 
 ABLATION_VARIANTS = ("pseudo", "no_bleu", "no_fres", "full")
 
 
-def _score_all(profile: LanguageProfile, pair: SentencePair) -> SentencePair:
-    return replace(
-        pair,
-        bleu=sentence_bleu(pair.translated_sentence, [pair.source_sentence]),
-        fres_source=_safe_fres(pair.source_sentence, profile),
-        fres_translated=_safe_fres(pair.translated_sentence, profile),
+def _score_all(profile: LanguageProfile, pair: SentencePair) -> tuple[SentencePair, Scores]:
+    source_tokens = metric_tokens(pair.source_sentence)
+    translated_tokens = metric_tokens(pair.translated_sentence)
+    return pair, (
+        source_tokens,
+        translated_tokens,
+        _sentence_bleu(translated_tokens, source_tokens),
+        _safe_fres(pair.source_sentence, profile),
+        _safe_fres(pair.translated_sentence, profile),
     )
 
 
@@ -366,21 +432,18 @@ def ablate(
     only), "no_fres" (BLEU selector only), and "full".
     """
     base = config or SelectorConfig()
-    # Score once; each variant then decides on the cached scores. Holds all
-    # pairs in memory, sized for ablation studies.
+    collectors = {
+        "pseudo": _Collector(replace(base, enable_bleu=False, enable_fres=False), profile),
+        "no_bleu": _Collector(replace(base, enable_bleu=False, enable_fres=True), profile),
+        "no_fres": _Collector(replace(base, enable_bleu=True, enable_fres=False), profile),
+        "full": _Collector(replace(base, enable_bleu=True, enable_fres=True), profile),
+    }
+    # Score each pair once; every variant then decides on those scores.
     pairs = generate_pseudo_pairs(bitext_targets, translations)
-    scored = list(_map(partial(_score_all, profile), pairs, workers))
-
-    variant_configs = {
-        "pseudo": replace(base, enable_bleu=False, enable_fres=False),
-        "no_bleu": replace(base, enable_bleu=False, enable_fres=True),
-        "no_fres": replace(base, enable_bleu=True, enable_fres=False),
-        "full": replace(base, enable_bleu=True, enable_fres=True),
-    }
-    return {
-        name: _collect((_select(variant, profile, pair) for pair in scored), variant, profile)
-        for name, variant in variant_configs.items()
-    }
+    for pair, scores in _map(partial(_score_all, profile), pairs, workers):
+        for collector in collectors.values():
+            collector.add(_select(collector.config, profile, pair, scores))
+    return {name: collector.corpus() for name, collector in collectors.items()}
 
 
 def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCorpus:

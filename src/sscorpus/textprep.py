@@ -5,6 +5,13 @@ scheme equivalent to the mteval-v13a conventions used by standard BLEU
 tooling, and a readability-grade scheme that keeps only word-like tokens
 for Flesch-style counting. All functions here are pure and safe to call
 from any number of workers.
+
+The 13a rules run in two steps. The punctuation class is ASCII-only and
+splits without looking at its neighbours, so one ``str.translate`` table
+pads every such character with spaces. The three digit-aware rules (a
+period or comma not next to a digit, a dash after a digit) look at context
+and stay regular expressions, run only when the text holds a ``.``, ``,``
+or ``-``.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class TokenizedText(NamedTuple):
@@ -80,31 +87,44 @@ _13A_PERIOD_AFTER = re.compile(r"([^0-9])([\.,])")
 _13A_PERIOD_BEFORE = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
 
+# The punctuation class as a translate table. The space is left out: padding
+# it changes only the amount of whitespace, which the final split discards.
+_13A_PUNCT_TABLE = {
+    code: f" {chr(code)} "
+    for code in range(128)
+    if chr(code) != " " and _13A_PUNCT.fullmatch(chr(code))
+}
+
+
+def _split_pair(match: re.Match) -> str:
+    return f"{match[1]} {match[2]} "
+
+
+def _split_pair_before(match: re.Match) -> str:
+    return f" {match[1]} {match[2]}"
+
 
 def metric_tokens(text: str) -> list[str]:
-    """13a-style tokens of ``text``; the raw-list twin of :func:`tokenize_metric`."""
+    """Tokenize for n-gram metrics: punctuation split per the 13a rules, case preserved."""
     if not text:
         return []
-    norm = (
-        text.replace("<skipped>", "")
-        .replace("-\n", "")
-        .replace("\n", " ")
-        .replace("&quot;", '"')
-        .replace("&amp;", "&")
-        .replace("&lt;", "<")
-        .replace("&gt;", ">")
-    )
-    norm = f" {norm} "
-    norm = _13A_PUNCT.sub(r" \1 ", norm)
-    norm = _13A_PERIOD_AFTER.sub(r"\1 \2 ", norm)
-    norm = _13A_PERIOD_BEFORE.sub(r" \1 \2", norm)
-    norm = _13A_DIGIT_DASH.sub(r"\1 \2 ", norm)
+    norm = text.replace("<skipped>", "")
+    if "\n" in norm:
+        norm = norm.replace("-\n", "").replace("\n", " ")
+    if "&" in norm:
+        norm = (
+            norm.replace("&quot;", '"')
+            .replace("&amp;", "&")
+            .replace("&lt;", "<")
+            .replace("&gt;", ">")
+        )
+    norm = f" {norm} ".translate(_13A_PUNCT_TABLE)
+    if "." in norm or "," in norm:
+        norm = _13A_PERIOD_AFTER.sub(_split_pair, norm)
+        norm = _13A_PERIOD_BEFORE.sub(_split_pair_before, norm)
+    if "-" in norm:
+        norm = _13A_DIGIT_DASH.sub(_split_pair, norm)
     return norm.split()
-
-
-def tokenize_metric(text: str) -> TokenizedText:
-    """Tokenize for n-gram metrics: punctuation split per the 13a rules, case preserved."""
-    return TokenizedText(tuple(metric_tokens(text)), "metric-13a")
 
 
 # --- readability-grade counting ---
@@ -121,9 +141,11 @@ _SENT_BOUNDARY = re.compile(r"[.!?…]+")
 _WORD_PART_SPLIT = re.compile(r"['’\-]")
 
 
-def tokenize_words(text: str, profile: LanguageProfile) -> TokenizedText:
-    """Word tokens only (punctuation dropped), for readability counting."""
-    del profile  # counting rules are language-independent at the word level
+def tokenize_words(text: str) -> TokenizedText:
+    """Word tokens only (punctuation dropped), for readability counting.
+
+    The rule is the same for every language profile.
+    """
     return TokenizedText(tuple(_WORD_RE.findall(text)), "readability")
 
 
@@ -140,35 +162,40 @@ def split_sentences(text: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _vowel_re(vowels: frozenset[str]) -> re.Pattern[str]:
-    return re.compile("[{}]+".format("".join(sorted(vowels))))
+def _syllable_counter(profile: LanguageProfile) -> Callable[[str], int]:
+    """:func:`count_syllables` for one profile, with its own word cache.
 
+    Keying the cache by word alone hashes the profile once per text, not
+    once per word.
+    """
+    vowel_re = re.compile("[{}]+".format("".join(sorted(profile.vowels))))
 
-# lru_cache here is load-bearing for throughput: corpus text repeats words heavily.
-@lru_cache(maxsize=2**17)
-def _word_syllables(word: str, profile: LanguageProfile) -> int:
-    total = 0
-    vowel_re = _vowel_re(profile.vowels)
-    for part in _WORD_PART_SPLIT.split(word):
-        clusters = vowel_re.findall(part)
-        if not clusters:
-            continue
-        count = len(clusters)
-        if profile.strong_vowels:
-            strong = profile.strong_vowels
-            for cluster in clusters:
-                count += sum(
-                    1 for a, b in zip(cluster, cluster[1:]) if a in strong and b in strong
-                )
-        if (
-            profile.silent_final_e
-            and count > 1
-            and part.endswith("e")
-            and (len(part) < 2 or part[-2] not in profile.vowels)
-        ):
-            count -= 1
-        total += count
-    return total
+    # lru_cache here is load-bearing for throughput: corpus text repeats words heavily.
+    @lru_cache(maxsize=2**17)
+    def word_syllables(word: str) -> int:
+        total = 0
+        for part in _WORD_PART_SPLIT.split(word.lower()):
+            clusters = vowel_re.findall(part)
+            if not clusters:
+                continue
+            count = len(clusters)
+            if profile.strong_vowels:
+                strong = profile.strong_vowels
+                for cluster in clusters:
+                    count += sum(
+                        1 for a, b in zip(cluster, cluster[1:]) if a in strong and b in strong
+                    )
+            if (
+                profile.silent_final_e
+                and count > 1
+                and part.endswith("e")
+                and (len(part) < 2 or part[-2] not in profile.vowels)
+            ):
+                count -= 1
+            total += count
+        return max(total, 1)
+
+    return word_syllables
 
 
 def count_syllables(word: str, profile: LanguageProfile) -> int:
@@ -177,7 +204,7 @@ def count_syllables(word: str, profile: LanguageProfile) -> int:
     Hyphen/apostrophe parts are counted separately so compounds add up;
     words without vowel letters (digits, initialisms) count as one syllable.
     """
-    return max(_word_syllables(word.lower(), profile), 1)
+    return _syllable_counter(profile)(word)
 
 
 def text_stats(text: str, profile: LanguageProfile) -> TextStats:
@@ -186,5 +213,4 @@ def text_stats(text: str, profile: LanguageProfile) -> TextStats:
     if not words:
         return TextStats(0, split_sentences(text), 0)
     n_sentences = max(split_sentences(text), 1)
-    n_syllables = sum(count_syllables(w, profile) for w in words)
-    return TextStats(len(words), n_sentences, n_syllables)
+    return TextStats(len(words), n_sentences, sum(map(_syllable_counter(profile), words)))

@@ -124,6 +124,19 @@ class TestTranslate:
         with pytest.raises(RuntimeError, match=r"did not exit within 0\.5s"):
             list(translate(iter(["a", "b", "c"]), source))
 
+    def test_external_closes_output_but_keeps_running(self):
+        # Answers every line and closes stdout, but does not exit.
+        command = "sh -c 'cat; exec 1>&-; exec sleep 30'"
+        source = TranslationSource(command, batch_size=2, timeout=0.5)
+        with pytest.raises(RuntimeError, match=r"after the last batch but did not exit within 0\.5s"):
+            list(translate(iter(["a", "b", "c"]), source))
+
+    def test_external_short_output_then_keeps_running(self):
+        command = "sh -c 'head -n 1; exec 1>&-; exec sleep 30'"
+        source = TranslationSource(command, batch_size=4, timeout=0.5)
+        with pytest.raises(RuntimeError, match=r"at batch 0 but did not exit within 0\.5s"):
+            list(translate(iter(["a", "b", "c"]), source))
+
 
 class TestCorpusPersistence:
     def build(self, n=40):

@@ -14,10 +14,11 @@ from functools import lru_cache
 
 import pytest
 
+import kernel_oracle
 from pipeline_oracle import oracle_ablate, oracle_build
 from synth import make_aligned_streams
 
-from sscorpus.pipeline import SelectorConfig, ablate, build_corpus
+from sscorpus.pipeline import SelectorConfig, ablate, build_corpus, compute_corpus_stats
 from sscorpus.textprep import get_profile
 
 EN = get_profile("en")
@@ -35,6 +36,8 @@ EDGE_PAIRS = [
     (unicodedata.normalize("NFD", "café au lait."), "café au lait."),  # identical after NFC
     ("go go go.", "go go go."),
     (" ".join(["hello"] * 13 + ["go"] * 5) + ".", " ".join(["hello"] * 7 + ["go"] * 3) + "."),
+    # the source side is the simple one, and each side has words of its own
+    ("Zebras run.", "Zebras are running extraordinarily energetically nowadays."),
 ]
 
 
@@ -84,6 +87,16 @@ def test_build_corpus_matches_oracle(h_bleu, h_fres, workers):
     for config in _configs(h_bleu, h_fres):
         corpus = build_corpus(TARGETS, TRANSLATIONS, config, EN, workers=workers)
         _assert_same(corpus, _expected(config), f"{config}, workers={workers}")
+
+
+@pytest.mark.parametrize("h_bleu,h_fres", THRESHOLDS)
+def test_accumulated_stats_match_recomputed_stats(h_bleu, h_fres):
+    # build_corpus accumulates its statistics from the tokens the selector
+    # produced; recomputing them from the kept pairs must agree.
+    for config in _configs(h_bleu, h_fres):
+        corpus = build_corpus(TARGETS, TRANSLATIONS, config, EN)
+        assert corpus.stats == compute_corpus_stats(corpus.pairs, EN), config
+        assert corpus.stats == kernel_oracle.compute_corpus_stats(corpus.pairs, EN), config
 
 
 @pytest.mark.parametrize("workers", [1, 2])

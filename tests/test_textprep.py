@@ -9,7 +9,6 @@ from sscorpus.textprep import (
     metric_tokens,
     split_sentences,
     text_stats,
-    tokenize_metric,
     tokenize_words,
 )
 
@@ -20,20 +19,17 @@ ES = get_profile("es-fh")
 
 class TestMetricTokenizer:
     def test_splits_punctuation(self):
-        assert tokenize_metric("Hello, world!").tokens == ("Hello", ",", "world", "!")
+        assert metric_tokens("Hello, world!") == ["Hello", ",", "world", "!"]
 
     def test_empty_input(self):
-        assert tokenize_metric("").tokens == ()
+        assert metric_tokens("") == []
 
     def test_single_token(self):
-        assert tokenize_metric("abc").tokens == ("abc",)
+        assert metric_tokens("abc") == ["abc"]
 
     def test_matches_reference_tokenizer(self, metric_expected):
         for case in metric_expected["tokenizer"]:
             assert metric_tokens(case["text"]) == case["tokens"], case["text"]
-
-    def test_scheme_tag(self):
-        assert tokenize_metric("x").scheme == "metric-13a"
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)
@@ -52,25 +48,28 @@ class TestMetricTokenizer:
 
 
 class TestWordTokenizer:
+    def test_scheme_tag(self):
+        assert tokenize_words("x").scheme == "readability"
+
     def test_word_count(self):
-        assert len(tokenize_words("He says he gets scared.", EN).tokens) == 5
+        assert len(tokenize_words("He says he gets scared.").tokens) == 5
 
     def test_empty(self):
-        assert tokenize_words("", EN).tokens == ()
+        assert tokenize_words("").tokens == ()
 
     def test_hyphenated_compound_is_one_word(self):
-        assert tokenize_words("state-of-the-art", EN).tokens == ("state-of-the-art",)
+        assert tokenize_words("state-of-the-art").tokens == ("state-of-the-art",)
 
     def test_numbers_count_as_words(self):
-        assert len(tokenize_words("room 101 opens at 9", EN).tokens) == 5
+        assert len(tokenize_words("room 101 opens at 9").tokens) == 5
 
     def test_punctuation_dropped(self):
-        assert tokenize_words("well, well... well!", EN).tokens == ("well", "well", "well")
+        assert tokenize_words("well, well... well!").tokens == ("well", "well", "well")
 
     @given(st.text(max_size=80), st.text(max_size=80))
     @settings(max_examples=200)
     def test_word_count_superadditive_over_spaces(self, a, b):
-        n = lambda t: len(tokenize_words(t, EN).tokens)
+        n = lambda t: len(tokenize_words(t).tokens)
         assert n(a + " " + b) == n(a) + n(b)
 
 
