@@ -16,6 +16,19 @@ from . import ingest, metrics, pipeline
 from .textprep import PROFILES, get_profile
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
+
+
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lang", default="en", choices=sorted(PROFILES), help="language profile")
     parser.add_argument("--h-bleu", type=float, default=15.0, help="BLEU selector threshold")
@@ -37,11 +50,11 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bridge", help="bridge-language sentences (for --translator-cmd)")
     parser.add_argument("--translations", help="precomputed translations, aligned to --target")
     parser.add_argument("--translator-cmd", help="line-protocol translator command")
-    parser.add_argument("--batch-size", type=int, default=64, help="translator batch size")
+    parser.add_argument("--batch-size", type=_at_least(1), default=64, help="translator batch size")
     parser.add_argument(
         "--translator-timeout", type=float, default=300.0, help="per-batch timeout, seconds"
     )
-    parser.add_argument("--workers", type=int, default=1, help="scoring worker processes")
+    parser.add_argument("--workers", type=_at_least(1), default=1, help="scoring worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_subset = sub.add_parser("subset", help="sample a smaller corpus, order-preserving")
     p_subset.add_argument("--corpus", required=True, help="input corpus path prefix")
-    p_subset.add_argument("-n", type=int, required=True, help="number of pairs to keep")
+    p_subset.add_argument("-n", type=_at_least(0), required=True, help="number of pairs to keep")
     p_subset.add_argument("--seed", type=int, default=0)
     p_subset.add_argument("--out", required=True, help="output path prefix")
     p_subset.add_argument("--format", default="plain", choices=("plain", "tsv"))

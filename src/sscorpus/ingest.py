@@ -9,6 +9,7 @@ datasets.
 from __future__ import annotations
 
 import json
+import os
 import queue
 import shlex
 import subprocess
@@ -222,7 +223,14 @@ def write_corpus(
     A sentence the reader could not give back is rejected before anything is
     written: a line feed or a trailing carriage return in either format, and
     a tab in TSV. The error names the pair index.
+
+    Every file is written under a temporary name in the output directory and
+    renamed into place only after all of them are complete, ``meta.json``
+    last, so a failed write leaves no new file behind and an earlier corpus
+    at the same prefix untouched.
     """
+    if format not in ("plain", "tsv"):
+        raise ValueError(f"unknown corpus format {format!r}")
     tsv = format == "tsv"
     for pair in corpus.pairs:
         for text in (pair.complex, pair.simple):
@@ -231,43 +239,6 @@ def write_corpus(
                     f"pair {pair.index}: sentence {text!r} has a tab or line break "
                     f"that the {format} format cannot hold"
                 )
-    prefix = Path(out_prefix)
-    if prefix.parent and not prefix.parent.exists():
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    if format == "plain":
-        complex_path = Path(f"{prefix}.complex")
-        simple_path = Path(f"{prefix}.simple")
-        with open(complex_path, "w", encoding="utf-8", newline="\n") as complex_fh, open(
-            simple_path, "w", encoding="utf-8", newline="\n"
-        ) as simple_fh:
-            for pair in corpus.pairs:
-                complex_fh.write(pair.complex + "\n")
-                simple_fh.write(pair.simple + "\n")
-        written += [complex_path, simple_path]
-    elif format == "tsv":
-        tsv_path = Path(f"{prefix}.tsv")
-        with open(tsv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_TSV_HEADER + "\n")
-            for pair in corpus.pairs:
-                fh.write(
-                    "\t".join(
-                        (
-                            pair.complex,
-                            pair.simple,
-                            _format_score(pair.bleu),
-                            _format_score(pair.fres_complex),
-                            _format_score(pair.fres_simple),
-                            _format_score(pair.fres_gap),
-                        )
-                    )
-                    + "\n"
-                )
-        written.append(tsv_path)
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
-
     meta = {
         "format": format,
         "lang": corpus.lang,
@@ -277,11 +248,45 @@ def write_corpus(
     }
     if run_info:
         meta["run"] = run_info
-    meta_path = Path(f"{prefix}.meta.json")
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
-    written.append(meta_path)
+    prefix = Path(out_prefix)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    suffixes = ("tsv",) if tsv else ("complex", "simple")
+    written = [Path(f"{prefix}.{suffix}") for suffix in (*suffixes, "meta.json")]
+    temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in written]
+    try:
+        if tsv:
+            with open(temporary[0], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_TSV_HEADER + "\n")
+                for pair in corpus.pairs:
+                    fh.write(
+                        "\t".join(
+                            (
+                                pair.complex,
+                                pair.simple,
+                                _format_score(pair.bleu),
+                                _format_score(pair.fres_complex),
+                                _format_score(pair.fres_simple),
+                                _format_score(pair.fres_gap),
+                            )
+                        )
+                        + "\n"
+                    )
+        else:
+            with open(temporary[0], "w", encoding="utf-8", newline="\n") as complex_fh, open(
+                temporary[1], "w", encoding="utf-8", newline="\n"
+            ) as simple_fh:
+                for pair in corpus.pairs:
+                    complex_fh.write(pair.complex + "\n")
+                    simple_fh.write(pair.simple + "\n")
+        with open(temporary[-1], "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(meta, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
+        # meta.json goes last: a corpus whose meta.json is in place is complete.
+        for source, target in zip(temporary, written):
+            os.replace(source, target)
+    finally:
+        for path in temporary:
+            path.unlink(missing_ok=True)
     return written
 
 

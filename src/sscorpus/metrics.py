@@ -97,18 +97,21 @@ class EvalReport:
 # --- readability ---
 
 
+def _fres_formula(
+    profile: LanguageProfile, n_words: int, n_sentences: int, n_syllables: int
+) -> float:
+    if n_words == 0:
+        raise ValueError(_NO_WORDS_ERROR)
+    return profile.k1 - profile.k2 * (n_words / n_sentences) - profile.k3 * (n_syllables / n_words)
+
+
 def fres(text: str, profile: LanguageProfile) -> float:
     """Reading-ease score k1 - k2*(words/sentences) - k3*(syllables/words).
 
     Not clamped to [0, 100]; short easy text legitimately exceeds 100.
     Raises ValueError when the text has no countable words.
     """
-    stats = text_stats(text, profile)
-    if stats.n_words == 0:
-        raise ValueError(_NO_WORDS_ERROR)
-    words_per_sentence = stats.n_words / stats.n_sentences
-    syllables_per_word = stats.n_syllables / stats.n_words
-    return profile.k1 - profile.k2 * words_per_sentence - profile.k3 * syllables_per_word
+    return _fres_formula(profile, *text_stats(text, profile))
 
 
 @lru_cache(maxsize=2**16)
@@ -156,32 +159,25 @@ def fkgl(text: str) -> float:
     return _fkgl_formula(*_fkgl_counts(text))
 
 
+def _pooled(counts: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Summed (words, sentences, syllables); each text with words adds >= 1 sentence."""
+    n_words = n_sentences = n_syllables = 0
+    for item_words, item_sentences, item_syllables in counts:
+        if item_words:
+            n_words += item_words
+            n_sentences += max(item_sentences, 1)
+            n_syllables += item_syllables
+    return n_words, n_sentences, n_syllables
+
+
 def corpus_fkgl(texts: Sequence[str]) -> float:
     """Grade level over pooled counts (each text contributes >= 1 sentence)."""
-    n_words = n_sentences = n_syllables = 0
-    for text in texts:
-        item_words, item_sentences, item_syllables = _fkgl_counts(text)
-        if item_words == 0:
-            continue
-        n_words += item_words
-        n_sentences += max(item_sentences, 1)
-        n_syllables += item_syllables
-    return _fkgl_formula(n_words, n_sentences, n_syllables)
+    return _fkgl_formula(*_pooled(map(_fkgl_counts, texts)))
 
 
 def corpus_fres(texts: Sequence[str], profile: LanguageProfile) -> float:
     """Reading ease over pooled counts (each text contributes >= 1 sentence)."""
-    n_words = n_sentences = n_syllables = 0
-    for text in texts:
-        stats = text_stats(text, profile)
-        if stats.n_words == 0:
-            continue
-        n_words += stats.n_words
-        n_sentences += max(stats.n_sentences, 1)
-        n_syllables += stats.n_syllables
-    if n_words == 0:
-        raise ValueError(_NO_WORDS_ERROR)
-    return profile.k1 - profile.k2 * (n_words / n_sentences) - profile.k3 * (n_syllables / n_words)
+    return _fres_formula(profile, *_pooled(text_stats(text, profile) for text in texts))
 
 
 # --- BLEU ---
@@ -433,15 +429,8 @@ def evaluate(
 
     SARI and BLEU compare hypotheses against sources/references; FKGL (with
     its English formula) and reading ease (with ``profile``) are computed
-    over the pooled hypothesis counts.
+    over the pooled hypothesis counts. SARI runs first and checks the inputs.
     """
-    if not (len(sources) == len(hypotheses) == len(references)):
-        raise ValueError(
-            "aligned sources/hypotheses/references required, got lengths "
-            f"{len(sources)}/{len(hypotheses)}/{len(references)}"
-        )
-    if not hypotheses:
-        raise ValueError("nothing to score: empty input")
     return EvalReport(
         sari=sari(sources, hypotheses, references),
         fkgl=corpus_fkgl(hypotheses),

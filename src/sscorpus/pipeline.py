@@ -17,9 +17,15 @@ scores of the enabled selectors and the others stay None (empty in TSV).
 The decision depends on nothing but the pair and the configuration, so
 filtering is order-stable, idempotent, and safe to fan out across workers.
 
-Each side is 13a-tokenized at most once. The BLEU check hands its tokens on
-with a kept pair, and the corpus statistics are accumulated from them as
-pairs are kept, so a build holds no token lists past the pair they belong to.
+One decide loop serves ``build`` and ``ablate``. It gives each side of a
+pair one record that computes the sentence's 13a tokens and its readability
+counts on first use and keeps them, then decides the pair once per
+configuration from those records: ``build`` has one configuration, and
+``ablate`` has its four variants, which score every pair fully so that each
+variant's kept pairs carry all three scores. BLEU, reading ease and the
+corpus statistics all read the records, so a sentence is tokenized and
+counted at most once per scheme, whatever the number of variants, and a
+build holds no token lists past the pair they belong to.
 """
 
 from __future__ import annotations
@@ -29,10 +35,17 @@ import unicodedata
 from dataclasses import dataclass, replace
 from functools import partial
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .metrics import MAX_NGRAM_ORDER, _token_bleu, fres
-from .textprep import LanguageProfile, get_profile, metric_tokens, tokenize_words
+from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
+from .textprep import (
+    LanguageProfile,
+    TextStats,
+    get_profile,
+    metric_tokens,
+    text_stats,
+    tokenize_words,
+)
 
 _SENTINEL = object()
 
@@ -115,18 +128,47 @@ class SimplificationCorpus:
     drop_tally: Optional[DropTally] = None
 
 
-# The 13a tokens of a kept pair's (complex, simple) sides, or None where no
-# check tokenized them.
-Tokens = Optional[tuple[list[str], list[str]]]
+class _Side:
+    """One sentence of a pair, with its 13a tokens and readability counts.
 
-# What the selector returns for one pair: the kept pair with its tokens, or
-# the name of the DropTally field that counts its drop.
-Decision = Union[tuple[LabeledPair, Tokens], str]
+    Each is computed on first use and then kept, so every check, every
+    variant and the corpus statistics share one computation per scheme.
+    """
 
-# All three scores and both sides' tokens of one pair, computed up front by
-# ``ablate``: (source tokens, translated tokens, bleu, fres_source,
-# fres_translated). A None reading ease here means "no countable words".
-Scores = tuple[list[str], list[str], float, Optional[float], Optional[float]]
+    __slots__ = ("text", "profile", "_tokens", "_stats")
+
+    def __init__(self, text: str, profile: Optional[LanguageProfile]) -> None:
+        self.text = text
+        self.profile = profile
+        self._tokens: Optional[list[str]] = None
+        self._stats: Optional[TextStats] = None
+
+    def tokens(self) -> list[str]:
+        if self._tokens is None:
+            self._tokens = metric_tokens(self.text)
+        return self._tokens
+
+    def fres(self) -> Optional[float]:
+        """Reading ease, or None when the sentence has no countable words."""
+        if self._stats is None:
+            self._stats = text_stats(self.text, self.profile)
+        return _fres_formula(self.profile, *self._stats) if self._stats.n_words else None
+
+    def bleu(self, reference: _Side) -> float:
+        """Sentence BLEU of this sentence against ``reference``."""
+        return _token_bleu([(self.tokens(), [reference.tokens()])], MAX_NGRAM_ORDER, True)
+
+    def n_words(self) -> int:
+        # The readability counts hold the word count once a check has made them.
+        if self._stats is None:
+            return len(tokenize_words(self.text).tokens)
+        return self._stats.n_words
+
+
+# What the selector returns for one pair: the kept pair with the records of
+# its complex and simple sides, or the name of the DropTally field that
+# counts its drop.
+Decision = Union[tuple[LabeledPair, _Side, _Side], str]
 
 
 def generate_pseudo_pairs(
@@ -162,96 +204,99 @@ def _is_identity(pair: SentencePair) -> bool:
     return _nfc(pair.source_sentence) == _nfc(pair.translated_sentence)
 
 
-def _safe_fres(text: str, profile: LanguageProfile) -> Optional[float]:
-    try:
-        return fres(text, profile)
-    except ValueError:
-        return None
-
-
-def _sentence_bleu(translated_tokens: list[str], source_tokens: list[str]) -> float:
-    return _token_bleu([(translated_tokens, [source_tokens])], MAX_NGRAM_ORDER, True)
-
-
 def _select(
-    config: SelectorConfig,
-    profile: Optional[LanguageProfile],
-    pair: SentencePair,
-    scores: Optional[Scores] = None,
+    config: SelectorConfig, pair: SentencePair, source: _Side, translated: _Side
 ) -> Decision:
     """Run the enabled selectors on one pair, in the order the module docstring gives.
 
-    Without ``scores``, scores already on the pair are reused and missing
-    ones are computed when a check reaches them; with ``scores``, nothing is
-    computed. ``profile`` is needed only with ``enable_fres``.
+    Scores already on the pair are reused; a missing one is read from the
+    records of the pair's ``source`` and ``translated`` sides when a check
+    reaches it.
     """
-    if scores is None:
-        source_tokens = translated_tokens = None
-        bleu, fres_source, fres_translated = pair.bleu, pair.fres_source, pair.fres_translated
-    else:
-        source_tokens, translated_tokens, bleu, fres_source, fres_translated = scores
+    bleu, fres_source, fres_translated = pair.bleu, pair.fres_source, pair.fres_translated
     if config.enable_bleu:
         if config.drop_identity and _is_identity(pair):
             return "dropped_identity"
         if bleu is None:
-            source_tokens = metric_tokens(pair.source_sentence)
-            translated_tokens = metric_tokens(pair.translated_sentence)
-            bleu = _sentence_bleu(translated_tokens, source_tokens)
+            bleu = translated.bleu(source)
         if bleu < config.h_bleu:
             return "dropped_bleu"
-    tokens = None if source_tokens is None else (source_tokens, translated_tokens)
-    if not config.enable_fres:
-        kept = LabeledPair(
-            complex=pair.source_sentence,
-            simple=pair.translated_sentence,
-            fres_gap=0.0,
-            provenance="unlabeled",
-            index=pair.index,
-            bleu=bleu,
-            fres_complex=fres_source,
-            fres_simple=fres_translated,
-        )
-        return kept, tokens
-    if scores is None:
+    complex_side, simple_side, provenance, gap = source, translated, "unlabeled", 0.0
+    fres_complex, fres_simple = fres_source, fres_translated
+    if config.enable_fres:
         if fres_source is None:
-            fres_source = _safe_fres(pair.source_sentence, profile)
+            fres_source = source.fres()
         if fres_translated is None:
-            fres_translated = _safe_fres(pair.translated_sentence, profile)
-    if fres_source is None or fres_translated is None:
-        return "dropped_no_words"
-    if abs(fres_source - fres_translated) < config.h_fres:
-        return "dropped_fres"
-    if _is_identity(pair):
-        return "dropped_identity"
-    # The side with the higher reading-ease score is the simple one.
-    if fres_translated >= fres_source:
-        kept = LabeledPair(
-            complex=pair.source_sentence,
-            simple=pair.translated_sentence,
-            fres_gap=fres_translated - fres_source,
-            provenance="translated",
-            index=pair.index,
-            bleu=bleu,
-            fres_complex=fres_source,
-            fres_simple=fres_translated,
-        )
-        return kept, tokens
+            fres_translated = translated.fres()
+        if fres_source is None or fres_translated is None:
+            return "dropped_no_words"
+        if abs(fres_source - fres_translated) < config.h_fres:
+            return "dropped_fres"
+        if _is_identity(pair):
+            return "dropped_identity"
+        # The side with the higher reading-ease score is the simple one.
+        if fres_translated >= fres_source:
+            provenance, fres_complex, fres_simple = "translated", fres_source, fres_translated
+        else:
+            complex_side, simple_side, provenance = translated, source, "source"
+            fres_complex, fres_simple = fres_translated, fres_source
+        gap = fres_simple - fres_complex
     kept = LabeledPair(
-        complex=pair.translated_sentence,
-        simple=pair.source_sentence,
-        fres_gap=fres_source - fres_translated,
-        provenance="source",
+        complex=complex_side.text,
+        simple=simple_side.text,
+        fres_gap=gap,
+        provenance=provenance,
         index=pair.index,
         bleu=bleu,
-        fres_complex=fres_translated,
-        fres_simple=fres_source,
+        fres_complex=fres_complex,
+        fres_simple=fres_simple,
     )
-    return kept, None if tokens is None else (translated_tokens, source_tokens)
+    return kept, complex_side, simple_side
+
+
+def _decide(
+    configs: Sequence[SelectorConfig],
+    profile: Optional[LanguageProfile],
+    score_all: bool,
+    pair: SentencePair,
+) -> list[Decision]:
+    """Decide ``pair`` once per configuration, all from the same two records.
+
+    With ``score_all``, the BLEU and both reading-ease scores are computed
+    first, so every kept pair carries all three.
+    """
+    source = _Side(pair.source_sentence, profile)
+    translated = _Side(pair.translated_sentence, profile)
+    if score_all:
+        pair = SentencePair(
+            pair.source_sentence,
+            pair.translated_sentence,
+            pair.index,
+            translated.bleu(source),
+            source.fres(),
+            translated.fres(),
+        )
+    return [_select(config, pair, source, translated) for config in configs]
 
 
 def _count_drop(tally: Optional[DropTally], reason: str) -> None:
     if tally is not None:
         setattr(tally, reason, getattr(tally, reason) + 1)
+
+
+def _selected(
+    pairs: Iterable[SentencePair],
+    config: SelectorConfig,
+    profile: Optional[LanguageProfile],
+    tally: Optional[DropTally],
+) -> Iterator[tuple[SentencePair, LabeledPair]]:
+    """Each input pair that ``config`` keeps, with its kept form; drops are tallied."""
+    for pair in pairs:
+        (decision,) = _decide((config,), profile, False, pair)
+        if isinstance(decision, str):
+            _count_drop(tally, decision)
+        else:
+            yield pair, decision[0]
 
 
 def bleu_selector(
@@ -267,13 +312,8 @@ def bleu_selector(
     """
     if not config.enable_bleu:
         raise ValueError("bleu_selector called with enable_bleu=False")
-    config = replace(config, enable_fres=False)
-    for pair in pairs:
-        decision = _select(config, None, pair)
-        if isinstance(decision, str):
-            _count_drop(tally, decision)
-        else:
-            yield replace(pair, bleu=decision[0].bleu)
+    for pair, kept in _selected(pairs, replace(config, enable_fres=False), None, tally):
+        yield replace(pair, bleu=kept.bleu)
 
 
 def fres_selector(
@@ -290,13 +330,8 @@ def fres_selector(
     """
     if not config.enable_fres:
         raise ValueError("fres_selector called with enable_fres=False")
-    config = replace(config, enable_bleu=False)
-    for pair in pairs:
-        decision = _select(config, profile, pair)
-        if isinstance(decision, str):
-            _count_drop(tally, decision)
-        else:
-            yield decision[0]
+    for _, kept in _selected(pairs, replace(config, enable_bleu=False), profile, tally):
+        yield kept
 
 
 def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterator:
@@ -309,51 +344,12 @@ def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterato
         yield from pool.imap(func, pairs, chunksize=256)
 
 
-class _StatsAccumulator:
-    """Corpus statistics folded in one kept pair at a time."""
-
-    def __init__(self) -> None:
-        self.vocab_complex: set[str] = set()
-        self.vocab_simple: set[str] = set()
-        self.words_complex = 0
-        self.words_simple = 0
-        self.total = 0
-
-    def add(self, pair: LabeledPair, tokens: Tokens = None) -> None:
-        """Count ``pair``; ``tokens`` are its sides' 13a tokens when already known."""
-        if tokens is None:
-            tokens = (metric_tokens(pair.complex), metric_tokens(pair.simple))
-        self.vocab_complex.update(tokens[0])
-        self.vocab_simple.update(tokens[1])
-        self.words_complex += len(tokenize_words(pair.complex).tokens)
-        self.words_simple += len(tokenize_words(pair.simple).tokens)
-        self.total += 1
-
-    def stats(self) -> CorpusStats:
-        total = self.total
-        return CorpusStats(
-            vocab_complex=len(self.vocab_complex),
-            vocab_simple=len(self.vocab_simple),
-            avg_len_complex=self.words_complex / total if total else 0.0,
-            avg_len_simple=self.words_simple / total if total else 0.0,
-            total_pairs=total,
-        )
-
-
-def compute_corpus_stats(pairs: Iterable[LabeledPair], profile: LanguageProfile) -> CorpusStats:
-    """Distinct-token vocabulary and mean word length per side."""
-    del profile  # the counts are the same under every profile
-    accumulator = _StatsAccumulator()
-    for pair in pairs:
-        accumulator.add(pair)
-    return accumulator.stats()
-
-
 class _Collector:
     """One configuration's corpus, built from its decisions as they arrive.
 
     Tallies the drops, drops repeated (complex, simple) pairs under
-    ``dedup``, and accumulates the statistics of each kept pair.
+    ``dedup``, and folds each kept pair's vocabulary and word counts in from
+    the records of its sides.
     """
 
     def __init__(self, config: SelectorConfig, profile: LanguageProfile) -> None:
@@ -362,31 +358,64 @@ class _Collector:
         self.tally = DropTally()
         self.kept: list[LabeledPair] = []
         self.seen: set[tuple[str, str]] = set()
-        self.stats = _StatsAccumulator()
+        self.vocab_complex: set[str] = set()
+        self.vocab_simple: set[str] = set()
+        self.words_complex = 0
+        self.words_simple = 0
 
     def add(self, decision: Decision) -> None:
         self.tally.n_input += 1
-        if not isinstance(decision, str) and self.config.dedup:
-            key = (decision[0].complex, decision[0].simple)
-            if key in self.seen:
-                decision = "dropped_duplicate"
-            self.seen.add(key)
         if isinstance(decision, str):
             _count_drop(self.tally, decision)
-        else:
-            pair, tokens = decision
-            self.kept.append(pair)
-            self.stats.add(pair, tokens)
+            return
+        pair, complex_side, simple_side = decision
+        if self.config.dedup:
+            key = (pair.complex, pair.simple)
+            if key in self.seen:
+                self.tally.dropped_duplicate += 1
+                return
+            self.seen.add(key)
+        self.kept.append(pair)
+        self.vocab_complex.update(complex_side.tokens())
+        self.vocab_simple.update(simple_side.tokens())
+        self.words_complex += complex_side.n_words()
+        self.words_simple += simple_side.n_words()
 
     def corpus(self) -> SimplificationCorpus:
-        self.tally.n_kept = len(self.kept)
-        return SimplificationCorpus(
-            pairs=self.kept,
-            lang=self.lang,
-            config_snapshot=self.config,
-            stats=self.stats.stats(),
-            drop_tally=self.tally,
+        total = self.tally.n_kept = len(self.kept)
+        stats = CorpusStats(
+            vocab_complex=len(self.vocab_complex),
+            vocab_simple=len(self.vocab_simple),
+            avg_len_complex=self.words_complex / total if total else 0.0,
+            avg_len_simple=self.words_simple / total if total else 0.0,
+            total_pairs=total,
         )
+        return SimplificationCorpus(self.kept, self.lang, self.config, stats, self.tally)
+
+
+def compute_corpus_stats(pairs: Iterable[LabeledPair], profile: LanguageProfile) -> CorpusStats:
+    """Distinct-token vocabulary and mean word length per side."""
+    collector = _Collector(SelectorConfig(), profile)
+    for pair in pairs:
+        collector.add((pair, _Side(pair.complex, profile), _Side(pair.simple, profile)))
+    return collector.corpus().stats
+
+
+def _build(
+    bitext_targets: Iterable[str],
+    translations: Iterable[str],
+    configs: Sequence[SelectorConfig],
+    profile: LanguageProfile,
+    workers: int,
+    score_all: bool,
+) -> list[SimplificationCorpus]:
+    """Generate the pairs and decide each once per configuration; one corpus per configuration."""
+    collectors = [_Collector(config, profile) for config in configs]
+    pairs = generate_pseudo_pairs(bitext_targets, translations)
+    for decisions in _map(partial(_decide, configs, profile, score_all), pairs, workers):
+        for collector, decision in zip(collectors, decisions):
+            collector.add(decision)
+    return [collector.corpus() for collector in collectors]
 
 
 def build_corpus(
@@ -397,26 +426,10 @@ def build_corpus(
     workers: int = 1,
 ) -> SimplificationCorpus:
     """Generate, score, filter, and label; returns the corpus plus drop tallies."""
-    pairs = generate_pseudo_pairs(bitext_targets, translations)
-    collector = _Collector(config, profile)
-    for decision in _map(partial(_select, config, profile), pairs, workers):
-        collector.add(decision)
-    return collector.corpus()
+    return _build(bitext_targets, translations, (config,), profile, workers, score_all=False)[0]
 
 
 ABLATION_VARIANTS = ("pseudo", "no_bleu", "no_fres", "full")
-
-
-def _score_all(profile: LanguageProfile, pair: SentencePair) -> tuple[SentencePair, Scores]:
-    source_tokens = metric_tokens(pair.source_sentence)
-    translated_tokens = metric_tokens(pair.translated_sentence)
-    return pair, (
-        source_tokens,
-        translated_tokens,
-        _sentence_bleu(translated_tokens, source_tokens),
-        _safe_fres(pair.source_sentence, profile),
-        _safe_fres(pair.translated_sentence, profile),
-    )
 
 
 def ablate(
@@ -432,18 +445,14 @@ def ablate(
     only), "no_fres" (BLEU selector only), and "full".
     """
     base = config or SelectorConfig()
-    collectors = {
-        "pseudo": _Collector(replace(base, enable_bleu=False, enable_fres=False), profile),
-        "no_bleu": _Collector(replace(base, enable_bleu=False, enable_fres=True), profile),
-        "no_fres": _Collector(replace(base, enable_bleu=True, enable_fres=False), profile),
-        "full": _Collector(replace(base, enable_bleu=True, enable_fres=True), profile),
-    }
-    # Score each pair once; every variant then decides on those scores.
-    pairs = generate_pseudo_pairs(bitext_targets, translations)
-    for pair, scores in _map(partial(_score_all, profile), pairs, workers):
-        for collector in collectors.values():
-            collector.add(_select(collector.config, profile, pair, scores))
-    return {name: collector.corpus() for name, collector in collectors.items()}
+    configs = (
+        replace(base, enable_bleu=False, enable_fres=False),
+        replace(base, enable_bleu=False, enable_fres=True),
+        replace(base, enable_bleu=True, enable_fres=False),
+        replace(base, enable_bleu=True, enable_fres=True),
+    )
+    corpora = _build(bitext_targets, translations, configs, profile, workers, score_all=True)
+    return dict(zip(ABLATION_VARIANTS, corpora))
 
 
 def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCorpus:

@@ -77,6 +77,19 @@ class TestBuild:
             main(["build", "--target"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--workers", "--batch-size"])
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, flag, value):
+        target, translations = write_aligned_files(tmp_path, 5)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "build", "--target", str(target), "--translations", str(translations),
+                "--out", str(tmp_path / "x"), flag, value,
+            ])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.glob("x*")) == []
+
     def test_translations_and_translator_cmd_are_exclusive(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 5)
         code, _, stderr = run(
@@ -206,6 +219,23 @@ class TestSubset:
             assert code == 0
         assert (tmp_path / "s1.complex").read_bytes() == (tmp_path / "s2.complex").read_bytes()
         assert (tmp_path / "s1.simple").read_bytes() == (tmp_path / "s2.simple").read_bytes()
+
+    def test_negative_count_is_a_usage_error(self, tmp_path, capsys):
+        target, translations = write_aligned_files(tmp_path, 10)
+        run(
+            capsys, "build", "--target", str(target), "--translations", str(translations),
+            "--out", str(tmp_path / "full"), "--no-bleu-selector", "--no-fres-selector",
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["subset", "--corpus", str(tmp_path / "full"), "-n", "-1", "--out", "s"])
+        assert excinfo.value.code == 2
+        assert "argument -n: must be at least 0" in capsys.readouterr().err
+        code, stdout, _ = run(
+            capsys, "subset", "--corpus", str(tmp_path / "full"), "-n", "0",
+            "--out", str(tmp_path / "s"),
+        )
+        assert code == 0
+        assert stdout == "kept 0 of 10 pairs\n"
 
     def test_oversample_exits_1(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 10)

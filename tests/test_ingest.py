@@ -205,6 +205,22 @@ class TestCorpusPersistence:
         write_corpus(tabbed, tmp_path / "tab", format="plain")
         assert read_corpus(tmp_path / "tab").pairs[1].complex == "a\tb"
 
+    def test_failed_write_leaves_no_corpus(self, tmp_path, monkeypatch):
+        corpus = self.build()
+        write_corpus(corpus, tmp_path / "old", format="plain")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        def failing_dump(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        for format in ("plain", "tsv"):
+            for prefix in ("new", "old"):
+                with pytest.raises(OSError, match="no space left"):
+                    write_corpus(text_corpus([("a b c", "a b")]), tmp_path / prefix, format)
+        # no new file under a final or a temporary name; the earlier corpus is untouched
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_tsv_header_is_checked(self, tmp_path):
         write_corpus(self.build(), tmp_path / "out", format="tsv")
         path = tmp_path / "out.tsv"

@@ -2,6 +2,7 @@ import pytest
 
 from synth import make_aligned_streams
 
+from sscorpus import pipeline
 from sscorpus.metrics import fres, sentence_bleu
 from sscorpus.pipeline import (
     SelectorConfig,
@@ -354,3 +355,48 @@ class TestCorpusStats:
     def test_vocabulary_is_case_sensitive(self):
         pairs = [LabeledPair("The the", "x", 0.0, "unlabeled", 0)]
         assert compute_corpus_stats(pairs, EN).vocab_complex == 2
+
+
+@pytest.fixture
+def scheme_calls(monkeypatch):
+    """Count the pipeline's calls of each tokenizer and counter, by name."""
+    calls = dict.fromkeys(("metric_tokens", "text_stats", "tokenize_words"), 0)
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+class TestOneComputationPerScheme:
+    N = 400
+
+    def test_ablate_tokenizes_and_counts_each_sentence_once(self, scheme_calls):
+        targets, translations = make_aligned_streams(self.N, seed=109)
+        variants = ablate(targets, translations, EN)
+        assert len(variants["pseudo"].pairs) == self.N
+        assert scheme_calls == {
+            "metric_tokens": 2 * self.N,
+            "text_stats": 2 * self.N,
+            "tokenize_words": 0,
+        }
+
+    def test_default_build_reuses_the_selectors_word_counts(self, scheme_calls):
+        targets, translations = make_aligned_streams(self.N, seed=109)
+        corpus = build_corpus(targets, translations, SelectorConfig(), EN)
+        assert corpus.pairs
+        assert scheme_calls["tokenize_words"] == 0
+        assert scheme_calls["metric_tokens"] <= 2 * self.N
+        assert scheme_calls["text_stats"] <= 2 * self.N
+
+    def test_words_are_counted_for_stats_only_when_no_check_counted_them(self, scheme_calls):
+        targets, translations = make_aligned_streams(self.N, seed=109)
+        config = SelectorConfig(enable_fres=False)
+        corpus = build_corpus(targets, translations, config, EN)
+        assert scheme_calls["text_stats"] == 0
+        assert scheme_calls["tokenize_words"] == 2 * len(corpus.pairs) > 0
+        assert corpus.stats == compute_corpus_stats(corpus.pairs, EN)
