@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -27,6 +28,17 @@ def _at_least(minimum: int):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
     return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+_positive_seconds.__name__ = "float"  # for "invalid float value" errors
 
 
 def _add_selector_args(parser: argparse.ArgumentParser) -> None:
@@ -52,7 +64,10 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--translator-cmd", help="line-protocol translator command")
     parser.add_argument("--batch-size", type=_at_least(1), default=64, help="translator batch size")
     parser.add_argument(
-        "--translator-timeout", type=float, default=300.0, help="per-batch timeout, seconds"
+        "--translator-timeout",
+        type=_positive_seconds,
+        default=300.0,
+        help="per-batch timeout, seconds",
     )
     parser.add_argument("--workers", type=_at_least(1), default=1, help="scoring worker processes")
 

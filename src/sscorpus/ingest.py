@@ -9,6 +9,7 @@ datasets.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import shlex
@@ -49,6 +50,8 @@ class TranslationSource:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a positive finite number, got {self.timeout}")
 
 
 def count_lines(path: Path) -> int:
@@ -365,10 +368,12 @@ def read_eval_dataset(directory: Path | str) -> tuple[list[str], list[list[str]]
     src_path = src_files[0]
     name = src_path.name[: -len(".src")]
 
+    # Matched by prefix, not by a glob pattern: the name may hold glob characters.
+    prefix = f"{name}.ref."
     ref_paths = {}
-    for path in directory.glob(f"{name}.ref.*"):
-        suffix = path.name.rsplit(".", 1)[-1]
-        if suffix.isdigit():
+    for path in directory.iterdir():
+        suffix = path.name[len(prefix) :]
+        if path.name.startswith(prefix) and suffix.isdigit():
             ref_paths[int(suffix)] = path
     if not ref_paths:
         raise ValueError(f"{directory}: no {name}.ref.<i> files found")

@@ -6,6 +6,12 @@ exponential smoothing of zero counts at the sentence level. SARI follows
 the de facto standard tool behavior: lowercased 13a tokens,
 reference-count weighting, F1 for keep/add and precision for delete,
 averaged over n-gram orders 1..4 and then over the three operations.
+
+BLEU and SARI share one n-gram kernel: a single ``Counter`` over the
+n-grams of every order of a sentence, each keyed by its token tuple (for
+SARI's references, one pooled counter over all of them). Within one order a
+counter lists its n-grams in first-occurrence order, and SARI's per-order
+float sums add their terms in that order.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .textprep import LanguageProfile, metric_tokens, split_sentences, text_stats
 
@@ -183,13 +189,20 @@ def corpus_fres(texts: Sequence[str], profile: LanguageProfile) -> float:
 # --- BLEU ---
 
 
+def _all_order_grams(tokens: Sequence[str], max_order: int) -> Iterator[tuple[str, ...]]:
+    """Every n-gram of orders 1..max_order as a token tuple, order by order.
+
+    Within one order the n-grams come in text order, so a counter built from
+    them lists each order's n-grams in first-occurrence order.
+    """
+    return chain.from_iterable(
+        zip(*[tokens[i:] for i in range(n)]) for n in range(1, max_order + 1)
+    )
+
+
 def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
     """Counts of every n-gram of orders 1..max_order, each keyed by its token tuple."""
-    return Counter(
-        chain.from_iterable(
-            zip(*[tokens[i:] for i in range(n)]) for n in range(1, max_order + 1)
-        )
-    )
+    return Counter(_all_order_grams(tokens, max_order))
 
 
 def _accumulate_bleu_stats(
@@ -202,9 +215,11 @@ def _accumulate_bleu_stats(
     # Modified precision: each hypothesis n-gram is clipped to its largest
     # count in any one reference.
     ref_counts = _ngram_counts(refs_tokens[0], max_order)
-    for ref in refs_tokens[1:]:
-        ref_counts |= _ngram_counts(ref, max_order)
     in_ref = ref_counts.get
+    for ref in refs_tokens[1:]:
+        for gram, count in _ngram_counts(ref, max_order).items():
+            if count > in_ref(gram, 0):
+                ref_counts[gram] = count
     for gram, count in _ngram_counts(hyp_tokens, max_order).items():
         ref_count = in_ref(gram)
         if ref_count:
@@ -309,78 +324,88 @@ def corpus_bleu(
 # --- SARI ---
 
 
-def _sari_ngram_scores(
-    s_grams: list, c_grams: list, r_grams_list: list[list], num_refs: int
-) -> tuple[float, float, float]:
-    """(keep, delete, add) scores for one n-gram order of one sentence.
-
-    Source/hypothesis counts are scaled by the number of references so they
-    are comparable with counts pooled over all references.
-    """
-    r_counter: Counter = Counter()
-    for r_grams in r_grams_list:
-        r_counter.update(r_grams)
-    s_rep = Counter({g: c * num_refs for g, c in Counter(s_grams).items()})
-    c_rep = Counter({g: c * num_refs for g, c in Counter(c_grams).items()})
-
-    keep_rep = s_rep & c_rep
-    keep_good = keep_rep & r_counter
-    keep_all = s_rep & r_counter
-    precision_sum = 0.0
-    recall_sum = 0.0
-    for gram, good in keep_good.items():
-        precision_sum += good / keep_rep[gram]
-        recall_sum += good / keep_all[gram]
-    keep_precision = precision_sum / len(keep_rep) if keep_rep else 0.0
-    keep_recall = recall_sum / len(keep_all) if keep_all else 0.0
-    keep = 0.0
-    if keep_precision > 0 or keep_recall > 0:
-        keep = 2 * keep_precision * keep_recall / (keep_precision + keep_recall)
-
-    del_rep = s_rep - c_rep
-    del_good = del_rep - r_counter
-    delete = 0.0
-    if del_rep:
-        delete = sum(good / del_rep[gram] for gram, good in del_good.items()) / len(del_rep)
-
-    added = set(c_rep) - set(s_rep)
-    added_good = added & set(r_counter)
-    addable = set(r_counter) - set(s_rep)
-    add_precision = len(added_good) / len(added) if added else 0.0
-    add_recall = len(added_good) / len(addable) if addable else 0.0
-    add = 0.0
-    if add_precision > 0 or add_recall > 0:
-        add = 2 * add_precision * add_recall / (add_precision + add_recall)
-
-    return keep, delete, add
-
-
-def _lower_tokens(text: str) -> list[str]:
-    return metric_tokens(text.lower())
-
-
-def _ngrams(tokens: list, n: int) -> list:
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+def _f1(precision: float, recall: float) -> float:
+    if precision > 0 or recall > 0:
+        return 2 * precision * recall / (precision + recall)
+    return 0.0
 
 
 def _sari_sentence(
     source: str, hypothesis: str, references: Sequence[str], max_order: int
 ) -> tuple[float, float, float]:
-    s_tokens = _lower_tokens(source)
-    c_tokens = _lower_tokens(hypothesis)
-    r_tokens = [_lower_tokens(r) for r in references]
+    """Mean (keep, delete, add) over n-gram orders 1..max_order for one sentence.
+
+    Source and hypothesis counts are scaled by the number of references so
+    they are comparable with the counts pooled over all references. Each
+    order's float sums run over the source n-grams of that order in
+    first-occurrence order.
+    """
     num_refs = len(references)
+    source_counts = _ngram_counts(metric_tokens(source.lower()), max_order)
+    hyp_counts = _ngram_counts(metric_tokens(hypothesis.lower()), max_order)
+    ref_counts = Counter(
+        chain.from_iterable(
+            _all_order_grams(metric_tokens(ref.lower()), max_order) for ref in references
+        )
+    )
+    in_hyp = hyp_counts.get
+    in_refs = ref_counts.get
+
+    # Per n-gram order n, at index n, over the reference-scaled counts:
+    # source n-grams also in the hypothesis (kept), in some reference (worth
+    # keeping) and fewer times in the hypothesis (deleted); the keep
+    # precision and recall sums; and the delete terms, summed with ``sum``
+    # (which adds floats with compensation from Python 3.12 on).
+    size = max_order + 1
+    n_kept = [0] * size
+    n_keep_all = [0] * size
+    n_deleted = [0] * size
+    keep_precision = [0.0] * size
+    keep_recall = [0.0] * size
+    delete_terms: list[list[float]] = [[] for _ in range(size)]
+    for gram, count in source_counts.items():
+        n = len(gram)
+        hyp_count = in_hyp(gram, 0)
+        ref_count = in_refs(gram, 0)
+        if ref_count:
+            n_keep_all[n] += 1
+        if hyp_count:
+            n_kept[n] += 1
+            if ref_count:
+                keep_rep = (count if count < hyp_count else hyp_count) * num_refs
+                good = keep_rep if keep_rep < ref_count else ref_count
+                keep_all = count * num_refs
+                keep_precision[n] += good / keep_rep
+                keep_recall[n] += good / (keep_all if keep_all < ref_count else ref_count)
+        if count > hyp_count:
+            n_deleted[n] += 1
+            del_rep = (count - hyp_count) * num_refs
+            if del_rep > ref_count:
+                delete_terms[n].append((del_rep - ref_count) / del_rep)
+
+    n_added = [0] * size
+    n_added_good = [0] * size
+    for gram in hyp_counts.keys() - source_counts.keys():
+        n = len(gram)
+        n_added[n] += 1
+        if gram in ref_counts:
+            n_added_good[n] += 1
+    n_refs_grams = Counter(map(len, ref_counts))
+
     keep_total = delete_total = add_total = 0.0
     for n in range(1, max_order + 1):
-        keep, delete, add = _sari_ngram_scores(
-            _ngrams(s_tokens, n),
-            _ngrams(c_tokens, n),
-            [_ngrams(r, n) for r in r_tokens],
-            num_refs,
+        keep_total += _f1(
+            keep_precision[n] / n_kept[n] if n_kept[n] else 0.0,
+            keep_recall[n] / n_keep_all[n] if n_keep_all[n] else 0.0,
         )
-        keep_total += keep
-        delete_total += delete
-        add_total += add
+        if n_deleted[n]:
+            delete_total += sum(delete_terms[n]) / n_deleted[n]
+        # Addable n-grams: in some reference but not in the source.
+        n_addable = n_refs_grams[n] - n_keep_all[n]
+        add_total += _f1(
+            n_added_good[n] / n_added[n] if n_added[n] else 0.0,
+            n_added_good[n] / n_addable if n_addable else 0.0,
+        )
     return keep_total / max_order, delete_total / max_order, add_total / max_order
 
 

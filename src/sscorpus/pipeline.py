@@ -30,6 +30,7 @@ build holds no token lists past the pair they belong to.
 
 from __future__ import annotations
 
+import math
 import random
 import unicodedata
 from dataclasses import dataclass, replace
@@ -74,8 +75,8 @@ class SelectorConfig:
     def __post_init__(self):
         if not 0.0 <= self.h_bleu <= 100.0:
             raise ValueError(f"h_bleu must be in [0, 100], got {self.h_bleu}")
-        if self.h_fres < 0.0:
-            raise ValueError(f"h_fres must be >= 0, got {self.h_fres}")
+        if not 0.0 <= self.h_fres < math.inf:
+            raise ValueError(f"h_fres must be finite and >= 0, got {self.h_fres}")
 
 
 @dataclass

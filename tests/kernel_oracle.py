@@ -8,6 +8,10 @@ implementation that the translate-table tokenizer, the zip n-gram counts,
 the per-profile syllable cache and the incremental stats accumulator
 replaced. ``sentence_bleu`` and ``corpus_bleu`` assemble them the way the
 metrics module used to, so the differential tests can compare exact values.
+
+The SARI section is copied unchanged from the implementation that the
+all-orders n-gram counter replaced: four per-order ``Counter``s per side
+combined with ``&``, ``-`` and set operations.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
+from sscorpus.metrics import SariBreakdown
 from sscorpus.pipeline import CorpusStats
 from sscorpus.textprep import LanguageProfile, TextStats, split_sentences
 
@@ -240,4 +245,117 @@ def compute_corpus_stats(pairs, profile: LanguageProfile) -> CorpusStats:
         avg_len_complex=words_complex / total if total else 0.0,
         avg_len_simple=words_simple / total if total else 0.0,
         total_pairs=total,
+    )
+
+
+# --- SARI ---
+
+
+def _sari_ngram_scores(
+    s_grams: list, c_grams: list, r_grams_list: list[list], num_refs: int
+) -> tuple[float, float, float]:
+    """(keep, delete, add) scores for one n-gram order of one sentence.
+
+    Source/hypothesis counts are scaled by the number of references so they
+    are comparable with counts pooled over all references.
+    """
+    r_counter: Counter = Counter()
+    for r_grams in r_grams_list:
+        r_counter.update(r_grams)
+    s_rep = Counter({g: c * num_refs for g, c in Counter(s_grams).items()})
+    c_rep = Counter({g: c * num_refs for g, c in Counter(c_grams).items()})
+
+    keep_rep = s_rep & c_rep
+    keep_good = keep_rep & r_counter
+    keep_all = s_rep & r_counter
+    precision_sum = 0.0
+    recall_sum = 0.0
+    for gram, good in keep_good.items():
+        precision_sum += good / keep_rep[gram]
+        recall_sum += good / keep_all[gram]
+    keep_precision = precision_sum / len(keep_rep) if keep_rep else 0.0
+    keep_recall = recall_sum / len(keep_all) if keep_all else 0.0
+    keep = 0.0
+    if keep_precision > 0 or keep_recall > 0:
+        keep = 2 * keep_precision * keep_recall / (keep_precision + keep_recall)
+
+    del_rep = s_rep - c_rep
+    del_good = del_rep - r_counter
+    delete = 0.0
+    if del_rep:
+        delete = sum(good / del_rep[gram] for gram, good in del_good.items()) / len(del_rep)
+
+    added = set(c_rep) - set(s_rep)
+    added_good = added & set(r_counter)
+    addable = set(r_counter) - set(s_rep)
+    add_precision = len(added_good) / len(added) if added else 0.0
+    add_recall = len(added_good) / len(addable) if addable else 0.0
+    add = 0.0
+    if add_precision > 0 or add_recall > 0:
+        add = 2 * add_precision * add_recall / (add_precision + add_recall)
+
+    return keep, delete, add
+
+
+def _lower_tokens(text: str) -> list[str]:
+    return metric_tokens(text.lower())
+
+
+def _ngrams(tokens: list, n: int) -> list:
+    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def _sari_sentence(
+    source: str, hypothesis: str, references: Sequence[str], max_order: int
+) -> tuple[float, float, float]:
+    s_tokens = _lower_tokens(source)
+    c_tokens = _lower_tokens(hypothesis)
+    r_tokens = [_lower_tokens(r) for r in references]
+    num_refs = len(references)
+    keep_total = delete_total = add_total = 0.0
+    for n in range(1, max_order + 1):
+        keep, delete, add = _sari_ngram_scores(
+            _ngrams(s_tokens, n),
+            _ngrams(c_tokens, n),
+            [_ngrams(r, n) for r in r_tokens],
+            num_refs,
+        )
+        keep_total += keep
+        delete_total += delete
+        add_total += add
+    return keep_total / max_order, delete_total / max_order, add_total / max_order
+
+
+def sari(
+    sources: Sequence[str],
+    hypotheses: Sequence[str],
+    references: Sequence[Sequence[str]],
+    max_order: int = MAX_NGRAM_ORDER,
+) -> SariBreakdown:
+    """Corpus SARI: per-sentence keep/add/delete averaged over the corpus."""
+    if not (len(sources) == len(hypotheses) == len(references)):
+        raise ValueError(
+            "aligned sources/hypotheses/references required, got lengths "
+            f"{len(sources)}/{len(hypotheses)}/{len(references)}"
+        )
+    if not hypotheses:
+        raise ValueError("nothing to score: empty input")
+    keep_sum = delete_sum = add_sum = 0.0
+    for source, hypothesis, refs in zip(sources, hypotheses, references):
+        if not refs:
+            raise ValueError("every hypothesis needs at least one reference")
+        keep, delete, add = _sari_sentence(source, hypothesis, refs, max_order)
+        keep_sum += keep
+        delete_sum += delete
+        add_sum += add
+    n = len(hypotheses)
+    f_keep = 100.0 * keep_sum / n
+    f_delete = 100.0 * delete_sum / n
+    f_add = 100.0 * add_sum / n
+    return SariBreakdown(
+        sari=(f_keep + f_add + f_delete) / 3.0,
+        f_keep=f_keep,
+        f_add=f_add,
+        f_delete=f_delete,
+        max_ngram_order=max_order,
     )

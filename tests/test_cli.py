@@ -90,6 +90,31 @@ class TestBuild:
         assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.glob("x*")) == []
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_h_fres_exits_1(self, tmp_path, capsys, value):
+        target, translations = write_aligned_files(tmp_path, 5)
+        code, _, stderr = run(
+            capsys, "build", "--target", str(target), "--translations", str(translations),
+            "--out", str(tmp_path / "x"), "--no-bleu-selector", "--h-fres", value,
+        )
+        assert code == 1
+        assert "h_fres must be finite and >= 0" in stderr
+        assert list(tmp_path.glob("x*")) == []
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_translator_timeout_is_a_usage_error(self, tmp_path, capsys, value):
+        target, _ = write_aligned_files(tmp_path, 5)
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "build", "--target", str(target), "--bridge", str(target),
+                "--translator-cmd", "cat", "--out", str(tmp_path / "x"),
+                "--translator-timeout", value,
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --translator-timeout: must be a positive finite number" in err
+        assert list(tmp_path.glob("x*")) == []
+
     def test_translations_and_translator_cmd_are_exclusive(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 5)
         code, _, stderr = run(

@@ -113,6 +113,11 @@ class TestTranslate:
         with pytest.raises(RuntimeError, match="exit code 1"):
             list(translate(iter(["a", "b"]), source))
 
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be a positive finite number"):
+            TranslationSource("cat", timeout=timeout)
+
     def test_external_timeout(self):
         source = TranslationSource("sleep 30", batch_size=2, timeout=0.3)
         with pytest.raises(RuntimeError, match="timed out"):
@@ -289,6 +294,12 @@ class TestEvalDataset:
         assert len(sources) == 5
         assert all(len(refs) == 3 for refs in references)
         assert references[2][1] == "reference 1 for 2"
+
+    def test_name_with_glob_characters(self, tmp_path):
+        directory = self.make_dataset(tmp_path, n_refs=2, name="t[1]")
+        sources, references = read_eval_dataset(directory)
+        assert sources[0] == "source sentence 0"
+        assert references[4] == ["reference 0 for 4", "reference 1 for 4"]
 
     def test_missing_ref_index_is_an_error(self, tmp_path):
         directory = self.make_dataset(tmp_path, n_refs=1)

@@ -1,19 +1,25 @@
 """Differential tests: the scoring kernel against the regex kernel it replaced.
 
 ``kernel_oracle`` keeps the one-regex-per-rule 13a tokenizer, the per-gram
-BLEU statistics and the ``(word, profile)``-keyed syllable count. Tokens,
-BLEU scores and text statistics must be exactly equal, not approximately.
+BLEU statistics, the ``(word, profile)``-keyed syllable count and the
+per-order SARI counters. Tokens, BLEU and SARI scores and text statistics
+must be exactly equal, not approximately.
 """
 
 from __future__ import annotations
 
+from dataclasses import astuple
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
 from synth import make_aligned_streams
 
-from sscorpus.metrics import corpus_bleu, sentence_bleu
+from sscorpus.ingest import read_eval_dataset
+from sscorpus.metrics import corpus_bleu, sari, sentence_bleu
 from sscorpus.textprep import PROFILES, metric_tokens, text_stats
 
 # Pieces the 13a rules treat specially, so generated text meets every rule
@@ -108,3 +114,76 @@ def test_text_stats_every_profile(text):
     for profile in PROFILES.values():
         assert text_stats(text, profile) == oracle.text_stats(text, profile), profile.lang_code
 
+
+# SARI lowercases, so the vocabulary mixes cases of the same words; digits
+# and punctuation meet the 13a rules.
+_MIXED_SENTENCE = st.lists(
+    st.sampled_from(
+        ["The", "the", "THE", "cat", "Cat", "sat", "on", "a", "A", "mat", "it",
+         ".", ",", "!", "?", "-", "1", "3.5", "10-20", "'s"]
+    ),
+    max_size=10,
+).map(" ".join)
+
+
+@st.composite
+def _sari_item(draw):
+    """(source, hypothesis, 1-6 references); references may repeat or equal the source."""
+    source = draw(_MIXED_SENTENCE)
+    hypothesis = draw(st.one_of(_MIXED_SENTENCE, st.just(source)))
+    references: list[str] = []
+    for _ in range(draw(st.integers(1, 6))):
+        pool = [source, *references]
+        references.append(draw(st.one_of(_MIXED_SENTENCE, st.sampled_from(pool))))
+    return source, hypothesis, references
+
+
+def _assert_sari_equal(sources, hypotheses, references, max_order=4):
+    got = sari(sources, hypotheses, references, max_order)
+    want = oracle.sari(sources, hypotheses, references, max_order)
+    assert astuple(got) == astuple(want)
+
+
+@given(_sari_item(), st.integers(1, 5))
+@settings(max_examples=1000)
+def test_sari_sentence(item, max_order):
+    source, hypothesis, references = item
+    _assert_sari_equal([source], [hypothesis], [references], max_order)
+
+
+@given(st.lists(_sari_item(), min_size=1, max_size=6), st.integers(1, 5))
+@settings(max_examples=200)
+def test_sari_corpus(items, max_order):
+    sources, hypotheses, references = (list(column) for column in zip(*items))
+    _assert_sari_equal(sources, hypotheses, references, max_order)
+
+
+def test_sari_empty_sides():
+    for source, hypothesis, references in [
+        ("", "", [""]),
+        ("", "The cat sat .", ["the cat sat ."]),
+        ("The cat sat .", "", ["the cat sat .", "A cat ."]),
+        ("The cat sat .", "the cat", ["", ""]),
+    ]:
+        for max_order in range(1, 6):
+            _assert_sari_equal([source], [hypothesis], [references], max_order)
+
+
+_EVAL_DATA = Path(__file__).resolve().parent.parent / "data" / "eval"
+
+
+@pytest.mark.parametrize("name", ["turkcorpus", "asset"])
+def test_sari_and_corpus_bleu_on_shipped_eval_sets(name):
+    sources, references = read_eval_dataset(_EVAL_DATA / name)
+    first_references = [refs[0] for refs in references]
+    for hypotheses in (sources, first_references):
+        _assert_sari_equal(sources, hypotheses, references)
+        assert corpus_bleu(hypotheses, references) == oracle.corpus_bleu(hypotheses, references)
+
+
+def test_sari_and_corpus_bleu_on_fixture(metric_fixture):
+    sources = [item["source"] for item in metric_fixture]
+    hypotheses = [item["hypothesis"] for item in metric_fixture]
+    references = [item["references"] for item in metric_fixture]
+    _assert_sari_equal(sources, hypotheses, references)
+    assert corpus_bleu(hypotheses, references) == oracle.corpus_bleu(hypotheses, references)

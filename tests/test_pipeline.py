@@ -75,6 +75,9 @@ class TestSelectorConfig:
             SelectorConfig(h_bleu=150.0)
         with pytest.raises(ValueError):
             SelectorConfig(h_fres=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="h_fres must be finite"):
+                SelectorConfig(h_fres=value)
 
 
 class TestBleuSelector:
