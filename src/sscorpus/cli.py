@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Optional
@@ -165,8 +166,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     config = _selector_config(args)
     profile = get_profile(args.lang)
     targets, translations = _input_streams(args)
-    corpus = pipeline.build_corpus(targets, translations, config, profile, workers=args.workers)
-    written = ingest.write_corpus(corpus, args.out, format=args.format, run_info=_run_info(args))
+    with ingest.CorpusWriter(args.out, args.format) as writer:
+        corpus = pipeline.build_corpus(
+            targets, translations, config, profile, workers=args.workers, sink=writer
+        )
+        writer.close(corpus, _run_info(args))
+        written = ingest.publish([writer])
     _print_summary(corpus.drop_tally)
     print("wrote: " + " ".join(str(p) for p in written))
     return 0
@@ -190,8 +195,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus = ingest.read_corpus(args.corpus, format=args.format)
-    print(json.dumps(asdict(corpus.stats), indent=2))
+    lang, _, _ = ingest.read_meta(args.corpus)
+    pairs = ingest.iter_corpus(args.corpus, format=args.format)
+    stats = pipeline.compute_corpus_stats(pairs, get_profile(lang))
+    print(json.dumps(asdict(stats), indent=2))
     return 0
 
 
@@ -199,21 +206,34 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = _selector_config(args)
     profile = get_profile(args.lang)
     targets, translations = _input_streams(args)
-    variants = pipeline.ablate(targets, translations, profile, config, workers=args.workers)
-    kept = {}
-    for name, corpus in variants.items():
-        prefix = f"{args.out}.{name}"
-        ingest.write_corpus(corpus, prefix, format=args.format, run_info=_run_info(args, {"variant": name}))
-        kept[name] = corpus.stats.total_pairs
+    # Every variant is complete under temporary names before any is renamed
+    # into place, so a failed run leaves none of them behind.
+    with ExitStack() as stack:
+        writers = {
+            name: stack.enter_context(ingest.CorpusWriter(f"{args.out}.{name}", args.format))
+            for name in pipeline.ABLATION_VARIANTS
+        }
+        variants = pipeline.ablate(
+            targets, translations, profile, config, workers=args.workers, sinks=writers
+        )
+        for name, corpus in variants.items():
+            writers[name].close(corpus, _run_info(args, {"variant": name}))
+        ingest.publish(writers.values())
+    kept = {name: corpus.stats.total_pairs for name, corpus in variants.items()}
     print(json.dumps({"kept": kept}, indent=2))
     return 0
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    corpus = ingest.read_corpus(args.corpus, format=args.format)
-    sampled = pipeline.subset(corpus, args.n, args.seed)
-    ingest.write_corpus(sampled, args.out, format=args.format, run_info=_run_info(args))
-    print(f"kept {sampled.stats.total_pairs} of {corpus.stats.total_pairs} pairs")
+    lang, config, _ = ingest.read_meta(args.corpus)
+    total = sum(1 for _ in ingest.iter_corpus(args.corpus, format=args.format))
+    pairs = ingest.iter_corpus(args.corpus, format=args.format)
+    sampled = pipeline.sample(pairs, total, args.n, args.seed)
+    with ingest.CorpusWriter(args.out, args.format) as writer:
+        stats = pipeline.compute_corpus_stats(sampled, get_profile(lang), sink=writer)
+        writer.close(pipeline.SimplificationCorpus([], lang, config, stats), _run_info(args))
+        ingest.publish([writer])
+    print(f"kept {stats.total_pairs} of {total} pairs")
     return 0
 
 

@@ -1,9 +1,11 @@
 """Line-aligned file ingestion, the external-translator bridge, and corpus files.
 
 All text is decoded as strict UTF-8 and normalized to Unicode NFC on read,
-so downstream equality checks and tokenization are stable. Readers stream;
-nothing here holds a whole corpus in memory except the small evaluation
-datasets.
+so downstream equality checks and tokenization are stable. Readers and the
+corpus writer stream, so the command line's ``build``, ``ablate``,
+``stats`` and ``subset`` keep no whole corpus in memory; only
+:func:`read_corpus`, which returns one, and the small evaluation datasets
+are held whole.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import subprocess
 import threading
 import time
 import unicodedata
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -59,7 +62,9 @@ def count_lines(path: Path) -> int:
     count = 0
     last_chunk = b""
     with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
+        # Small reads: two chunks are alive at once, and with larger ones this
+        # count would set the peak memory of a whole streamed build.
+        while chunk := fh.read(1 << 16):
             count += chunk.count(b"\n")
             last_chunk = chunk
     if last_chunk and not last_chunk.endswith(b"\n"):
@@ -212,144 +217,169 @@ def _parse_score(text: str) -> Optional[float]:
     return None if text == "" else float(text)
 
 
+def _open_text(path: Path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+class CorpusWriter:
+    """Streams one corpus to files at ``<prefix>``, pair by pair.
+
+    plain: ``<prefix>.complex`` and ``<prefix>.simple``, line-aligned, LF.
+    tsv:   one file with per-pair scores for inspection.
+
+    Files are written under temporary names in the output directory:
+    :meth:`append` per pair, then ``<prefix>.meta.json`` by :meth:`close`;
+    :func:`publish` renames them into place. The ``with`` block removes any
+    temporary file and directory left, so a failed or interrupted run leaves
+    no new file behind and an earlier corpus at the same prefix untouched.
+    """
+
+    def __init__(self, out_prefix: Path | str, format: str = "plain") -> None:
+        if format not in ("plain", "tsv"):
+            raise ValueError(f"unknown corpus format {format!r}")
+        self.format = format
+        self._tsv = format == "tsv"
+        prefix = Path(out_prefix)
+        # Directories made here are removed again unless the corpus is published.
+        self._new_dirs = [d for d in (prefix.parent, *prefix.parent.parents) if not d.exists()]
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+        suffixes = ("tsv",) if self._tsv else ("complex", "simple")
+        self.paths = [Path(f"{prefix}.{suffix}") for suffix in (*suffixes, "meta.json")]
+        self._temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in self.paths]
+        self._files = ExitStack()
+        try:
+            files = [self._files.enter_context(_open_text(p)) for p in self._temporary[:-1]]
+            self._writes = [fh.write for fh in files]
+            if self._tsv:
+                self._writes[0](_TSV_HEADER + "\n")
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __enter__(self) -> CorpusWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._files.close()
+        finally:
+            for path in self._temporary:
+                path.unlink(missing_ok=True)
+            with suppress(OSError):  # one that something else has written to stays
+                for directory in self._new_dirs:
+                    directory.rmdir()
+
+    def append(self, pair: LabeledPair) -> None:
+        """Write one pair; a sentence the reader could not give back is an error naming the pair."""
+        complex_text, simple_text = pair.complex, pair.simple
+        tsv = self._tsv
+        for text in (complex_text, simple_text):
+            if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):
+                raise ValueError(
+                    f"pair {pair.index}: sentence {text!r} has a tab or line break "
+                    f"that the {self.format} format cannot hold"
+                )
+        if tsv:
+            scores = (pair.bleu, pair.fres_complex, pair.fres_simple, pair.fres_gap)
+            row = "\t".join((complex_text, simple_text, *map(_format_score, scores)))
+            self._writes[0](row + "\n")
+        else:
+            write_complex, write_simple = self._writes
+            write_complex(complex_text + "\n")
+            write_simple(simple_text + "\n")
+
+    def close(self, corpus: SimplificationCorpus, run_info: Optional[dict] = None) -> None:
+        """Finish the pair files and write ``meta.json`` from ``corpus``, under temporary names."""
+        meta = {
+            "format": self.format,
+            "lang": corpus.lang,
+            "config": asdict(corpus.config_snapshot),
+            "stats": asdict(corpus.stats),
+            "drop_tally": asdict(corpus.drop_tally) if corpus.drop_tally else None,
+        }
+        if run_info:
+            meta["run"] = run_info
+        self._files.close()
+        with _open_text(self._temporary[-1]) as fh:
+            json.dump(meta, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
+
+
+def publish(writers: Iterable[CorpusWriter]) -> list[Path]:
+    """Rename the closed writers' files into place, every ``meta.json`` last; returns the paths.
+
+    A corpus whose ``meta.json`` is in place is complete. Nothing is renamed
+    while any target is a directory, so that failure leaves nothing new.
+    """
+    writers = list(writers)
+    moves = [move for w in writers for move in zip(w._temporary[:-1], w.paths[:-1])]
+    moves += [(w._temporary[-1], w.paths[-1]) for w in writers]
+    for _, target in moves:
+        if target.is_dir():
+            raise IsADirectoryError(f"cannot write {target}: it is a directory")
+    for source, target in moves:
+        os.replace(source, target)
+    for writer in writers:
+        writer._new_dirs = []
+    return [target for _, target in moves]
+
+
 def write_corpus(
     corpus: SimplificationCorpus,
     out_prefix: Path | str,
     format: str = "plain",
     run_info: Optional[dict] = None,
 ) -> list[Path]:
-    """Write corpus files plus ``<prefix>.meta.json``; returns the paths written.
-
-    plain: ``<prefix>.complex`` and ``<prefix>.simple``, line-aligned, LF.
-    tsv:   one file with per-pair scores for inspection.
-
-    A sentence the reader could not give back is rejected before anything is
-    written: a line feed or a trailing carriage return in either format, and
-    a tab in TSV. The error names the pair index.
-
-    Every file is written under a temporary name in the output directory and
-    renamed into place only after all of them are complete, ``meta.json``
-    last, so a failed write leaves no new file behind and an earlier corpus
-    at the same prefix untouched.
-    """
-    if format not in ("plain", "tsv"):
-        raise ValueError(f"unknown corpus format {format!r}")
-    tsv = format == "tsv"
-    for pair in corpus.pairs:
-        for text in (pair.complex, pair.simple):
-            if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):
-                raise ValueError(
-                    f"pair {pair.index}: sentence {text!r} has a tab or line break "
-                    f"that the {format} format cannot hold"
-                )
-    meta = {
-        "format": format,
-        "lang": corpus.lang,
-        "config": asdict(corpus.config_snapshot),
-        "stats": asdict(corpus.stats),
-        "drop_tally": asdict(corpus.drop_tally) if corpus.drop_tally else None,
-    }
-    if run_info:
-        meta["run"] = run_info
-    prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    suffixes = ("tsv",) if tsv else ("complex", "simple")
-    written = [Path(f"{prefix}.{suffix}") for suffix in (*suffixes, "meta.json")]
-    temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in written]
-    try:
-        if tsv:
-            with open(temporary[0], "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_TSV_HEADER + "\n")
-                for pair in corpus.pairs:
-                    fh.write(
-                        "\t".join(
-                            (
-                                pair.complex,
-                                pair.simple,
-                                _format_score(pair.bleu),
-                                _format_score(pair.fres_complex),
-                                _format_score(pair.fres_simple),
-                                _format_score(pair.fres_gap),
-                            )
-                        )
-                        + "\n"
-                    )
-        else:
-            with open(temporary[0], "w", encoding="utf-8", newline="\n") as complex_fh, open(
-                temporary[1], "w", encoding="utf-8", newline="\n"
-            ) as simple_fh:
-                for pair in corpus.pairs:
-                    complex_fh.write(pair.complex + "\n")
-                    simple_fh.write(pair.simple + "\n")
-        with open(temporary[-1], "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, indent=2, ensure_ascii=False)
-            fh.write("\n")
-        # meta.json goes last: a corpus whose meta.json is in place is complete.
-        for source, target in zip(temporary, written):
-            os.replace(source, target)
-    finally:
-        for path in temporary:
-            path.unlink(missing_ok=True)
-    return written
+    """Write ``corpus`` with one :class:`CorpusWriter`; returns the paths written."""
+    with CorpusWriter(out_prefix, format) as writer:
+        for pair in corpus.pairs:
+            writer.append(pair)
+        writer.close(corpus, run_info)
+        return publish([writer])
 
 
-def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorpus:
-    """Read a corpus written by :func:`write_corpus`."""
-    prefix = Path(prefix)
+def read_meta(prefix: Path | str) -> tuple[str, SelectorConfig, Optional[DropTally]]:
+    """The language, selector config and drop tally in ``<prefix>.meta.json``, with defaults."""
     meta_path = Path(f"{prefix}.meta.json")
-    meta = {}
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    config = SelectorConfig(**meta["config"]) if "config" in meta else SelectorConfig()
+    tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
+    return meta.get("lang", "en"), config, tally
 
-    pairs: list[LabeledPair] = []
+
+def iter_corpus(prefix: Path | str, format: str = "plain") -> Iterator[LabeledPair]:
+    """Stream the pairs of a corpus written by :class:`CorpusWriter`, in order."""
     if format == "plain":
         complex_lines, simple_lines = open_aligned(
             Path(f"{prefix}.complex"), Path(f"{prefix}.simple")
         )
-        for index, (complex_line, simple_line) in enumerate(zip(complex_lines, simple_lines)):
-            pairs.append(
-                LabeledPair(
-                    complex=complex_line,
-                    simple=simple_line,
-                    fres_gap=0.0,
-                    provenance="unlabeled",
-                    index=index,
-                )
-            )
+        rows = ((c, s, "", "", "", "") for c, s in zip(complex_lines, simple_lines))
     elif format == "tsv":
-        tsv_path = Path(f"{prefix}.tsv")
-        lines = iter_lines(tsv_path)
+        path = Path(f"{prefix}.tsv")
+        lines = iter_lines(path)
         header = next(lines, None)
         if header != _TSV_HEADER:
-            raise ValueError(f"{tsv_path}: header is {header!r}, expected {_TSV_HEADER!r}")
-        for index, line in enumerate(lines):
-            fields = line.split("\t")
-            if len(fields) != 6:
-                raise ValueError(f"{tsv_path}: malformed row {index + 2}")
-            pairs.append(
-                LabeledPair(
-                    complex=fields[0],
-                    simple=fields[1],
-                    fres_gap=_parse_score(fields[5]) or 0.0,
-                    provenance="unlabeled",
-                    index=index,
-                    bleu=_parse_score(fields[2]),
-                    fres_complex=_parse_score(fields[3]),
-                    fres_simple=_parse_score(fields[4]),
-                )
-            )
+            raise ValueError(f"{path}: header is {header!r}, expected {_TSV_HEADER!r}")
+        rows = (line.split("\t") for line in lines)
     else:
         raise ValueError(f"unknown corpus format {format!r}")
+    for index, fields in enumerate(rows):
+        if len(fields) != 6:
+            raise ValueError(f"{path}: malformed row {index + 2}")
+        complex_text, simple_text, *scores = fields
+        bleu, fres_complex, fres_simple, fres_gap = map(_parse_score, scores)
+        yield LabeledPair(
+            complex_text, simple_text, fres_gap or 0.0, "unlabeled", index,
+            bleu, fres_complex, fres_simple,
+        )
 
-    lang = meta.get("lang", "en")
-    config = SelectorConfig(**meta["config"]) if "config" in meta else SelectorConfig()
-    tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
+
+def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorpus:
+    """Read a corpus written by :func:`write_corpus`, all its pairs in memory."""
+    lang, config, tally = read_meta(prefix)
+    pairs = list(iter_corpus(prefix, format))
     return SimplificationCorpus(
-        pairs=pairs,
-        lang=lang,
-        config_snapshot=config,
-        stats=compute_corpus_stats(pairs, get_profile(lang)),
-        drop_tally=tally,
+        pairs, lang, config, compute_corpus_stats(pairs, get_profile(lang)), tally
     )
 
 

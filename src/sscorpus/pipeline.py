@@ -26,6 +26,9 @@ variant's kept pairs carry all three scores. BLEU, reading ease and the
 corpus statistics all read the records, so a sentence is tokenized and
 counted at most once per scheme, whatever the number of variants, and a
 build holds no token lists past the pair they belong to.
+
+Each configuration hands its kept pairs, in input order, to a sink: a list,
+or a corpus writer that streams them to disk and keeps none in memory.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ import random
 import unicodedata
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import zip_longest
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
 from .textprep import (
@@ -122,6 +126,8 @@ class CorpusStats:
 
 @dataclass
 class SimplificationCorpus:
+    """A corpus with its statistics; ``pairs`` is empty when a caller passed its own sink."""
+
     pairs: list[LabeledPair]
     lang: str
     config_snapshot: SelectorConfig
@@ -166,6 +172,12 @@ class _Side:
         return self._stats.n_words
 
 
+class Sink(Protocol):
+    """Takes each kept pair in input order: a list, or an ``ingest.CorpusWriter``."""
+
+    def append(self, pair: LabeledPair) -> None: ...
+
+
 # What the selector returns for one pair: the kept pair with the records of
 # its complex and simple sides, or the name of the DropTally field that
 # counts its drop.
@@ -176,25 +188,16 @@ def generate_pseudo_pairs(
     bitext_targets: Iterable[str], translations: Iterable[str]
 ) -> Iterator[SentencePair]:
     """Pair the two line-aligned streams, one SentencePair per line, unfiltered."""
-    target_iter = iter(bitext_targets)
-    translation_iter = iter(translations)
-    index = 0
-    while True:
-        target = next(target_iter, _SENTINEL)
-        translation = next(translation_iter, _SENTINEL)
-        if target is _SENTINEL and translation is _SENTINEL:
-            return
+    sides = zip_longest(bitext_targets, translations, fillvalue=_SENTINEL)
+    for index, (target, translation) in enumerate(sides):
         if target is _SENTINEL or translation is _SENTINEL:
-            n_targets = index + sum(1 for _ in target_iter) + (target is not _SENTINEL)
-            n_translations = (
-                index + sum(1 for _ in translation_iter) + (translation is not _SENTINEL)
-            )
+            longer = index + 1 + sum(1 for _ in sides)
+            n_targets, n_translations = (index, longer) if target is _SENTINEL else (longer, index)
             raise ValueError(
                 "aligned streams differ in length: "
                 f"{n_targets} target lines vs {n_translations} translation lines"
             )
         yield SentencePair(target, translation, index)
-        index += 1
 
 
 def _nfc(text: str) -> str:
@@ -349,16 +352,23 @@ class _Collector:
     """One configuration's corpus, built from its decisions as they arrive.
 
     Tallies the drops, drops repeated (complex, simple) pairs under
-    ``dedup``, and folds each kept pair's vocabulary and word counts in from
-    the records of its sides.
+    ``dedup``, hands each kept pair to ``sink``, and folds its vocabulary
+    and word counts in from the records of its sides.
     """
 
-    def __init__(self, config: SelectorConfig, profile: LanguageProfile) -> None:
+    def __init__(
+        self, config: SelectorConfig, profile: LanguageProfile, sink: Optional[Sink] = None
+    ) -> None:
         self.config = config
         self.lang = profile.lang_code
+        self.sink = sink
         self.tally = DropTally()
-        self.kept: list[LabeledPair] = []
-        self.seen: set[tuple[str, str]] = set()
+        self.seen: set[bytes] = set()
+        if config.dedup:
+            # Imported only here: hashlib loads OpenSSL, several MiB of memory.
+            from hashlib import blake2b
+
+            self.blake2b = blake2b
         self.vocab_complex: set[str] = set()
         self.vocab_simple: set[str] = set()
         self.words_complex = 0
@@ -371,19 +381,26 @@ class _Collector:
             return
         pair, complex_side, simple_side = decision
         if self.config.dedup:
-            key = (pair.complex, pair.simple)
+            # 16 bytes stand in for both strings; the length prefix marks where one ends.
+            text = f"{len(pair.complex)}:{pair.complex}{pair.simple}"
+            key = self.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
             if key in self.seen:
                 self.tally.dropped_duplicate += 1
                 return
             self.seen.add(key)
-        self.kept.append(pair)
+        self.add_kept(pair, complex_side, simple_side)
+
+    def add_kept(self, pair: LabeledPair, complex_side: _Side, simple_side: _Side) -> None:
+        if self.sink is not None:
+            self.sink.append(pair)
+        self.tally.n_kept += 1
         self.vocab_complex.update(complex_side.tokens())
         self.vocab_simple.update(simple_side.tokens())
         self.words_complex += complex_side.n_words()
         self.words_simple += simple_side.n_words()
 
     def corpus(self) -> SimplificationCorpus:
-        total = self.tally.n_kept = len(self.kept)
+        total = self.tally.n_kept
         stats = CorpusStats(
             vocab_complex=len(self.vocab_complex),
             vocab_simple=len(self.vocab_simple),
@@ -391,14 +408,19 @@ class _Collector:
             avg_len_simple=self.words_simple / total if total else 0.0,
             total_pairs=total,
         )
-        return SimplificationCorpus(self.kept, self.lang, self.config, stats, self.tally)
+        return SimplificationCorpus([], self.lang, self.config, stats, self.tally)
 
 
-def compute_corpus_stats(pairs: Iterable[LabeledPair], profile: LanguageProfile) -> CorpusStats:
-    """Distinct-token vocabulary and mean word length per side."""
-    collector = _Collector(SelectorConfig(), profile)
+def compute_corpus_stats(
+    pairs: Iterable[LabeledPair], profile: LanguageProfile, sink: Optional[Sink] = None
+) -> CorpusStats:
+    """Distinct-token vocabulary and mean word length per side, in one pass over ``pairs``.
+
+    Each pair is also handed to ``sink`` when one is given.
+    """
+    collector = _Collector(SelectorConfig(), profile, sink)
     for pair in pairs:
-        collector.add((pair, _Side(pair.complex, profile), _Side(pair.simple, profile)))
+        collector.add_kept(pair, _Side(pair.complex, profile), _Side(pair.simple, profile))
     return collector.corpus().stats
 
 
@@ -409,9 +431,13 @@ def _build(
     profile: LanguageProfile,
     workers: int,
     score_all: bool,
+    sinks: Sequence[Sink],
 ) -> list[SimplificationCorpus]:
-    """Generate the pairs and decide each once per configuration; one corpus per configuration."""
-    collectors = [_Collector(config, profile) for config in configs]
+    """Decide each generated pair once per configuration and hand its kept pairs to its sink.
+
+    Returns one corpus per configuration, without pairs.
+    """
+    collectors = [_Collector(config, profile, sink) for config, sink in zip(configs, sinks)]
     pairs = generate_pseudo_pairs(bitext_targets, translations)
     for decisions in _map(partial(_decide, configs, profile, score_all), pairs, workers):
         for collector, decision in zip(collectors, decisions):
@@ -425,9 +451,17 @@ def build_corpus(
     config: SelectorConfig,
     profile: LanguageProfile,
     workers: int = 1,
+    sink: Optional[Sink] = None,
 ) -> SimplificationCorpus:
-    """Generate, score, filter, and label; returns the corpus plus drop tallies."""
-    return _build(bitext_targets, translations, (config,), profile, workers, score_all=False)[0]
+    """Generate, score, filter, and label; returns the corpus plus drop tallies.
+
+    The kept pairs are collected in the corpus's ``pairs`` list, or, with a
+    ``sink``, handed to it as they are decided; ``pairs`` is then empty.
+    """
+    kept: list[LabeledPair] = []
+    sinks = (kept if sink is None else sink,)
+    (corpus,) = _build(bitext_targets, translations, (config,), profile, workers, False, sinks)
+    return replace(corpus, pairs=kept)
 
 
 ABLATION_VARIANTS = ("pseudo", "no_bleu", "no_fres", "full")
@@ -439,11 +473,14 @@ def ablate(
     profile: LanguageProfile,
     config: Optional[SelectorConfig] = None,
     workers: int = 1,
+    sinks: Optional[Mapping[str, Sink]] = None,
 ) -> dict[str, SimplificationCorpus]:
     """Build the four selector variants from one shared scoring pass.
 
     Returns corpora keyed "pseudo" (no selectors), "no_bleu" (ease selector
-    only), "no_fres" (BLEU selector only), and "full".
+    only), "no_fres" (BLEU selector only), and "full". With ``sinks``, keyed
+    the same way, each variant's kept pairs go to its sink and its corpus
+    has no ``pairs``.
     """
     base = config or SelectorConfig()
     configs = (
@@ -452,17 +489,27 @@ def ablate(
         replace(base, enable_bleu=True, enable_fres=False),
         replace(base, enable_bleu=True, enable_fres=True),
     )
-    corpora = _build(bitext_targets, translations, configs, profile, workers, score_all=True)
-    return dict(zip(ABLATION_VARIANTS, corpora))
+    kept: dict[str, list[LabeledPair]] = {name: [] for name in ABLATION_VARIANTS}
+    targets = kept if sinks is None else sinks
+    variant_sinks = [targets[name] for name in ABLATION_VARIANTS]
+    corpora = _build(bitext_targets, translations, configs, profile, workers, True, variant_sinks)
+    return {
+        name: replace(corpus, pairs=kept[name])
+        for name, corpus in zip(ABLATION_VARIANTS, corpora)
+    }
+
+
+def sample(pairs: Iterable[LabeledPair], total: int, n: int, seed: int) -> Iterator[LabeledPair]:
+    """Stream a deterministic random sample of n of the ``total`` pairs, in their order."""
+    if n > total:
+        raise ValueError(f"cannot sample {n} pairs from a corpus of {total}")
+    chosen = set(random.Random(seed).sample(range(total), n))
+    return (pair for position, pair in enumerate(pairs) if position in chosen)
 
 
 def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCorpus:
     """Deterministic random sample of n pairs, preserving relative order."""
-    total = len(corpus.pairs)
-    if n > total:
-        raise ValueError(f"cannot sample {n} pairs from a corpus of {total}")
-    indices = sorted(random.Random(seed).sample(range(total), n))
-    pairs = [corpus.pairs[i] for i in indices]
+    pairs = list(sample(corpus.pairs, len(corpus.pairs), n, seed))
     return SimplificationCorpus(
         pairs=pairs,
         lang=corpus.lang,

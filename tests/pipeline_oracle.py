@@ -1,4 +1,5 @@
-"""The per-pair selector path as two separate steps, kept as a test oracle.
+"""The per-pair selector path as two separate steps, and the list-based
+corpus files, kept as test oracles.
 
 ``score_pair`` fills every score a configuration needs and ``_decide``
 applies the selectors to the scored pairs. They are copied unchanged from
@@ -6,14 +7,25 @@ the implementation that :func:`sscorpus.pipeline.build_corpus` replaced
 with a single lazy decision per pair; ``oracle_build`` and
 ``oracle_ablate`` assemble them the way ``build_corpus`` and ``ablate``
 used to, so the differential tests can compare every output field.
+
+``write_corpus``, ``read_corpus`` and ``subset`` are copied unchanged from
+the implementation that :class:`sscorpus.ingest.CorpusWriter`,
+:func:`sscorpus.ingest.iter_corpus` and :func:`sscorpus.pipeline.sample`
+replaced, which held the whole corpus in memory: one validation pass, then
+one branch per format.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import random
 import unicodedata
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
+from sscorpus.ingest import iter_lines, open_aligned
 from sscorpus.metrics import fres, sentence_bleu
 from sscorpus.pipeline import (
     DropTally,
@@ -24,7 +36,7 @@ from sscorpus.pipeline import (
     compute_corpus_stats,
     generate_pseudo_pairs,
 )
-from sscorpus.textprep import LanguageProfile
+from sscorpus.textprep import LanguageProfile, get_profile
 
 
 def _nfc(text: str) -> str:
@@ -163,3 +175,173 @@ def oracle_ablate(
             kept, profile.lang_code, variant_config, compute_corpus_stats(kept, profile), tally
         )
     return variants
+
+
+# --- corpus files ---
+
+_TSV_HEADER = "complex\tsimple\tbleu\tfres_complex\tfres_simple\tfres_gap"
+
+
+def _format_score(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def _parse_score(text: str) -> Optional[float]:
+    return None if text == "" else float(text)
+
+
+def write_corpus(
+    corpus: SimplificationCorpus,
+    out_prefix: Path | str,
+    format: str = "plain",
+    run_info: Optional[dict] = None,
+) -> list[Path]:
+    """Write corpus files plus ``<prefix>.meta.json``; returns the paths written.
+
+    plain: ``<prefix>.complex`` and ``<prefix>.simple``, line-aligned, LF.
+    tsv:   one file with per-pair scores for inspection.
+
+    A sentence the reader could not give back is rejected before anything is
+    written: a line feed or a trailing carriage return in either format, and
+    a tab in TSV. The error names the pair index.
+
+    Every file is written under a temporary name in the output directory and
+    renamed into place only after all of them are complete, ``meta.json``
+    last, so a failed write leaves no new file behind and an earlier corpus
+    at the same prefix untouched.
+    """
+    if format not in ("plain", "tsv"):
+        raise ValueError(f"unknown corpus format {format!r}")
+    tsv = format == "tsv"
+    for pair in corpus.pairs:
+        for text in (pair.complex, pair.simple):
+            if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):
+                raise ValueError(
+                    f"pair {pair.index}: sentence {text!r} has a tab or line break "
+                    f"that the {format} format cannot hold"
+                )
+    meta = {
+        "format": format,
+        "lang": corpus.lang,
+        "config": asdict(corpus.config_snapshot),
+        "stats": asdict(corpus.stats),
+        "drop_tally": asdict(corpus.drop_tally) if corpus.drop_tally else None,
+    }
+    if run_info:
+        meta["run"] = run_info
+    prefix = Path(out_prefix)
+    prefix.parent.mkdir(parents=True, exist_ok=True)
+    suffixes = ("tsv",) if tsv else ("complex", "simple")
+    written = [Path(f"{prefix}.{suffix}") for suffix in (*suffixes, "meta.json")]
+    temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in written]
+    try:
+        if tsv:
+            with open(temporary[0], "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_TSV_HEADER + "\n")
+                for pair in corpus.pairs:
+                    fh.write(
+                        "\t".join(
+                            (
+                                pair.complex,
+                                pair.simple,
+                                _format_score(pair.bleu),
+                                _format_score(pair.fres_complex),
+                                _format_score(pair.fres_simple),
+                                _format_score(pair.fres_gap),
+                            )
+                        )
+                        + "\n"
+                    )
+        else:
+            with open(temporary[0], "w", encoding="utf-8", newline="\n") as complex_fh, open(
+                temporary[1], "w", encoding="utf-8", newline="\n"
+            ) as simple_fh:
+                for pair in corpus.pairs:
+                    complex_fh.write(pair.complex + "\n")
+                    simple_fh.write(pair.simple + "\n")
+        with open(temporary[-1], "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(meta, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
+        # meta.json goes last: a corpus whose meta.json is in place is complete.
+        for source, target in zip(temporary, written):
+            os.replace(source, target)
+    finally:
+        for path in temporary:
+            path.unlink(missing_ok=True)
+    return written
+
+
+def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorpus:
+    """Read a corpus written by :func:`write_corpus`."""
+    prefix = Path(prefix)
+    meta_path = Path(f"{prefix}.meta.json")
+    meta = {}
+    if meta_path.exists():
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+
+    pairs: list[LabeledPair] = []
+    if format == "plain":
+        complex_lines, simple_lines = open_aligned(
+            Path(f"{prefix}.complex"), Path(f"{prefix}.simple")
+        )
+        for index, (complex_line, simple_line) in enumerate(zip(complex_lines, simple_lines)):
+            pairs.append(
+                LabeledPair(
+                    complex=complex_line,
+                    simple=simple_line,
+                    fres_gap=0.0,
+                    provenance="unlabeled",
+                    index=index,
+                )
+            )
+    elif format == "tsv":
+        tsv_path = Path(f"{prefix}.tsv")
+        lines = iter_lines(tsv_path)
+        header = next(lines, None)
+        if header != _TSV_HEADER:
+            raise ValueError(f"{tsv_path}: header is {header!r}, expected {_TSV_HEADER!r}")
+        for index, line in enumerate(lines):
+            fields = line.split("\t")
+            if len(fields) != 6:
+                raise ValueError(f"{tsv_path}: malformed row {index + 2}")
+            pairs.append(
+                LabeledPair(
+                    complex=fields[0],
+                    simple=fields[1],
+                    fres_gap=_parse_score(fields[5]) or 0.0,
+                    provenance="unlabeled",
+                    index=index,
+                    bleu=_parse_score(fields[2]),
+                    fres_complex=_parse_score(fields[3]),
+                    fres_simple=_parse_score(fields[4]),
+                )
+            )
+    else:
+        raise ValueError(f"unknown corpus format {format!r}")
+
+    lang = meta.get("lang", "en")
+    config = SelectorConfig(**meta["config"]) if "config" in meta else SelectorConfig()
+    tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
+    return SimplificationCorpus(
+        pairs=pairs,
+        lang=lang,
+        config_snapshot=config,
+        stats=compute_corpus_stats(pairs, get_profile(lang)),
+        drop_tally=tally,
+    )
+
+
+def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCorpus:
+    """Deterministic random sample of n pairs, preserving relative order."""
+    total = len(corpus.pairs)
+    if n > total:
+        raise ValueError(f"cannot sample {n} pairs from a corpus of {total}")
+    indices = sorted(random.Random(seed).sample(range(total), n))
+    pairs = [corpus.pairs[i] for i in indices]
+    return SimplificationCorpus(
+        pairs=pairs,
+        lang=corpus.lang,
+        config_snapshot=corpus.config_snapshot,
+        stats=compute_corpus_stats(pairs, get_profile(corpus.lang)),
+        drop_tally=None,
+    )

@@ -115,6 +115,25 @@ class TestBuild:
         assert "argument --translator-timeout: must be a positive finite number" in err
         assert list(tmp_path.glob("x*")) == []
 
+    def test_translator_failure_mid_run_leaves_no_file(self, tmp_path, capsys):
+        target, translations = write_aligned_files(tmp_path, 200)
+        argv = ["build", "--target", str(target)]
+        code, _, _ = run(
+            capsys, *argv, "--translations", str(translations), "--out", str(tmp_path / "x")
+        )
+        assert code == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # Pairs are kept and written before the translator stops short, to
+        # the earlier corpus's prefix and to one in directories not yet made.
+        for out in (tmp_path / "x", tmp_path / "new" / "sub" / "x"):
+            code, _, stderr = run(
+                capsys, *argv, "--bridge", str(translations), "--batch-size", "10",
+                "--translator-cmd", "sed -u 150q", "--out", str(out),
+            )
+            assert code == 1
+            assert "translator produced 0 lines for batch 15" in stderr
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_translations_and_translator_cmd_are_exclusive(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 5)
         code, _, stderr = run(
@@ -227,6 +246,41 @@ class TestAblate:
         for name in kept:
             meta = json.loads((tmp_path / f"ab.{name}.meta.json").read_text())
             assert meta["stats"]["total_pairs"] == kept[name]
+
+
+    def test_failed_variant_leaves_no_variant_behind(self, tmp_path, capsys):
+        target, translations = write_aligned_files(tmp_path, 40)
+        argv = ["ablate", "--target", str(target), "--translations", str(translations),
+                "--out", str(tmp_path / "ab")]
+
+        def snapshot():
+            return {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()}
+
+        # The last-but-one variant cannot be renamed into place.
+        (tmp_path / "ab.no_fres.simple").mkdir()
+        before = snapshot()
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert "ab.no_fres.simple" in stderr
+        assert snapshot() == before
+
+        # The same, over an earlier ablate at the same prefix from other input.
+        (tmp_path / "ab.no_fres.simple").rmdir()
+        earlier = tmp_path / "earlier"
+        earlier.mkdir()
+        old_target, old_translations = write_aligned_files(earlier, 30, seed=11)
+        code, _, _ = run(
+            capsys, "ablate", "--target", str(old_target), "--translations",
+            str(old_translations), "--out", str(tmp_path / "ab"),
+        )
+        assert code == 0
+        (tmp_path / "ab.no_fres.simple").unlink()
+        (tmp_path / "ab.no_fres.simple").mkdir()
+        before = snapshot()
+        assert len(before) == 15  # inputs, earlier/, 4 variants x 3 files
+        code, _, _ = run(capsys, *argv)
+        assert code == 1
+        assert snapshot() == before
 
 
 class TestSubset:

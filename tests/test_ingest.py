@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from synth import make_aligned_streams
 
 from sscorpus.ingest import (
+    CorpusWriter,
     TranslationSource,
     count_lines,
     iter_lines,
@@ -224,6 +225,19 @@ class TestCorpusPersistence:
                 with pytest.raises(OSError, match="no space left"):
                     write_corpus(text_corpus([("a b c", "a b")]), tmp_path / prefix, format)
         # no new file under a final or a temporary name; the earlier corpus is untouched
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_interrupted_writer_leaves_no_corpus(self, tmp_path):
+        corpus = self.build()
+        write_corpus(corpus, tmp_path / "old", format="plain")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for format in ("plain", "tsv"):
+            for prefix in ("new", "old"):
+                with pytest.raises(KeyboardInterrupt):
+                    with CorpusWriter(tmp_path / prefix, format) as writer:
+                        writer.append(corpus.pairs[0])
+                        writer.close(corpus)  # complete under temporary names
+                        raise KeyboardInterrupt
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_tsv_header_is_checked(self, tmp_path):
