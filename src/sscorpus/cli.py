@@ -182,7 +182,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError("exactly one of --hypotheses or --row is required")
     sources, references = ingest.read_eval_dataset(args.dataset)
     if args.row == "source":
-        hypotheses = list(sources)
+        hypotheses = sources
     else:
         hypotheses = list(ingest.iter_lines(Path(args.hypotheses)))
         if len(hypotheses) != len(sources):
@@ -226,7 +226,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 def cmd_subset(args: argparse.Namespace) -> int:
     lang, config, _ = ingest.read_meta(args.corpus)
-    total = sum(1 for _ in ingest.iter_corpus(args.corpus, format=args.format))
+    total = ingest.count_pairs(args.corpus, format=args.format)
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
     sampled = pipeline.sample(pairs, total, args.n, args.seed)
     with ingest.CorpusWriter(args.out, args.format) as writer:

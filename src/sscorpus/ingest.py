@@ -1,11 +1,11 @@
 """Line-aligned file ingestion, the external-translator bridge, and corpus files.
 
-All text is decoded as strict UTF-8 and normalized to Unicode NFC on read,
-so downstream equality checks and tokenization are stable. Readers and the
-corpus writer stream, so the command line's ``build``, ``ablate``,
-``stats`` and ``subset`` keep no whole corpus in memory; only
-:func:`read_corpus`, which returns one, and the small evaluation datasets
-are held whole.
+All text, file lines and translator output alike, is decoded as strict
+UTF-8 and normalized to Unicode NFC on read, so downstream equality checks
+and tokenization are stable. Readers and the corpus writer stream, so the
+command line's ``build``, ``ablate``, ``stats`` and ``subset`` keep no
+whole corpus in memory; only :func:`read_corpus`, which returns one, and
+the small evaluation datasets are held whole.
 """
 
 from __future__ import annotations
@@ -72,26 +72,31 @@ def count_lines(path: Path) -> int:
     return count
 
 
+def _decode(raw: bytes, origin: object, lineno: int) -> str:
+    """One line of text as the program sees it: strict UTF-8, no terminator, NFC."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{origin}: invalid UTF-8 on line {lineno}: {exc}") from None
+    return unicodedata.normalize("NFC", line.rstrip("\n").rstrip("\r"))
+
+
 def iter_lines(path: Path) -> Iterator[str]:
     """Stream NFC-normalized lines without their terminators."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: invalid UTF-8 on line {lineno}: {exc}") from None
-            yield unicodedata.normalize("NFC", line.rstrip("\n").rstrip("\r"))
+            yield _decode(raw, path, lineno)
 
 
-def open_aligned(first: Path, second: Path) -> tuple[Iterator[str], Iterator[str]]:
-    """Stream two line-aligned files; their line counts are checked up front."""
+def open_aligned(first: Path, *others: Path) -> tuple[Iterator[str], ...]:
+    """Stream line-aligned files; every line count is checked against the first up front."""
     n_first = count_lines(first)
-    n_second = count_lines(second)
-    if n_first != n_second:
-        raise ValueError(
-            f"line count mismatch: {n_first} lines in {first} vs {n_second} lines in {second}"
-        )
-    return iter_lines(first), iter_lines(second)
+    for other in others:
+        if (n_other := count_lines(other)) != n_first:
+            raise ValueError(
+                f"line count mismatch: {n_first} lines in {first} vs {n_other} lines in {other}"
+            )
+    return tuple(map(iter_lines, (first, *others)))
 
 
 def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
@@ -162,9 +167,7 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
                     f"translator produced {len(results)} lines for batch {batch_index} "
                     f"(expected {len(batch)}, lines {start_line}-{start_line + len(batch) - 1})"
                 )
-            results.append(
-                unicodedata.normalize("NFC", raw.decode("utf-8").rstrip("\n").rstrip("\r"))
-            )
+            results.append(_decode(raw, "translator output", start_line + len(results)))
         return results
 
     try:
@@ -342,9 +345,23 @@ def read_meta(prefix: Path | str) -> tuple[str, SelectorConfig, Optional[DropTal
     """The language, selector config and drop tally in ``<prefix>.meta.json``, with defaults."""
     meta_path = Path(f"{prefix}.meta.json")
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    config = SelectorConfig(**meta["config"]) if "config" in meta else SelectorConfig()
-    tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
+    try:
+        config = SelectorConfig(**meta.get("config", {}))
+        tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
+    except TypeError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
     return meta.get("lang", "en"), config, tally
+
+
+def count_pairs(prefix: Path | str, format: str = "plain") -> int:
+    """Number of pairs in a corpus written by :class:`CorpusWriter`, from its line count."""
+    if format == "plain":
+        return count_lines(Path(f"{prefix}.complex"))
+    if format == "tsv":
+        return max(count_lines(Path(f"{prefix}.tsv")) - 1, 0)  # less the header
+    raise ValueError(f"unknown corpus format {format!r}")
 
 
 def iter_corpus(prefix: Path | str, format: str = "plain") -> Iterator[LabeledPair]:
@@ -386,7 +403,8 @@ def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorp
 def read_eval_dataset(directory: Path | str) -> tuple[list[str], list[list[str]]]:
     """Read a turk-style evaluation layout: ``<name>.src`` plus ``<name>.ref.<i>``.
 
-    Returns sources and, per source, the ordered list of references.
+    Returns sources and, per source, the ordered list of references. Every
+    file's line count is checked against ``<name>.src`` up front.
     """
     directory = Path(directory)
     src_files = sorted(directory.glob("*.src"))
@@ -407,20 +425,12 @@ def read_eval_dataset(directory: Path | str) -> tuple[list[str], list[list[str]]
             ref_paths[int(suffix)] = path
     if not ref_paths:
         raise ValueError(f"{directory}: no {name}.ref.<i> files found")
-    n_refs = max(ref_paths) + 1
-    for i in range(n_refs):
-        if i not in ref_paths:
-            raise ValueError(f"{directory}: missing reference file {name}.ref.{i}")
+    ordered = [ref_paths.get(i) for i in range(max(ref_paths) + 1)]
+    if None in ordered:
+        raise ValueError(f"{directory}: missing reference file {name}.ref.{ordered.index(None)}")
 
-    sources = list(iter_lines(src_path))
-    columns = []
-    for i in range(n_refs):
-        column = list(iter_lines(ref_paths[i]))
-        if len(column) != len(sources):
-            raise ValueError(
-                f"{ref_paths[i]}: {len(column)} lines, expected {len(sources)} "
-                f"to match {src_path.name}"
-            )
-        columns.append(column)
-    references = [[column[i] for column in columns] for i in range(len(sources))]
+    sources, references = [], []
+    for source, *refs in zip(*open_aligned(src_path, *ordered), strict=True):
+        sources.append(source)
+        references.append(refs)
     return sources, references

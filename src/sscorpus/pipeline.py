@@ -39,7 +39,6 @@ import unicodedata
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
@@ -342,6 +341,10 @@ def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterato
     if workers <= 1:
         yield from map(func, pairs)
         return
+    # Imported only here: multiprocessing loads socket and pickle, memory a
+    # one-worker run has no use for.
+    from multiprocessing import Pool
+
     # imap preserves input order, so the merged stream is bit-identical to
     # the single-worker run regardless of scheduling.
     with Pool(workers) as pool:

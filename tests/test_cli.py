@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from synth import write_aligned_files
 
+import sscorpus
 from sscorpus.cli import main
 from sscorpus.ingest import read_corpus
 
@@ -134,6 +139,34 @@ class TestBuild:
             assert "translator produced 0 lines for batch 15" in stderr
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_translator_cmd_requires_bridge(self, tmp_path, capsys):
+        target, _ = write_aligned_files(tmp_path, 5)
+        code, _, stderr = run(
+            capsys, "build", "--target", str(target), "--translator-cmd", "cat",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert stderr == "error: --translator-cmd requires --bridge\n"
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_translator_with_timeout_matches_precomputed(self, tmp_path, capsys):
+        target, translations = write_aligned_files(tmp_path, 40)
+        argv = ["build", "--target", str(target)]
+        code, _, _ = run(
+            capsys, *argv, "--translations", str(translations), "--out", str(tmp_path / "pre")
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, *argv, "--bridge", str(translations), "--translator-cmd", "cat",
+            "--translator-timeout", "2.5", "--out", str(tmp_path / "mt"),
+        )
+        assert code == 0
+        for suffix in ("complex", "simple"):
+            written = (tmp_path / f"mt.{suffix}").read_bytes()
+            assert written == (tmp_path / f"pre.{suffix}").read_bytes()
+        meta = json.loads((tmp_path / "mt.meta.json").read_text(encoding="utf-8"))
+        assert meta["run"]["translator_timeout"] == 2.5
+
     def test_translations_and_translator_cmd_are_exclusive(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 5)
         code, _, stderr = run(
@@ -229,6 +262,42 @@ class TestStats:
             "avg_len_simple": 1.5,
             "total_pairs": 2,
         }
+
+
+@pytest.mark.parametrize("command", ["stats", "subset"])
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"config": {"min_len": 3}}, "unexpected keyword argument 'min_len'"),
+        ([1, 2], "expected a JSON object, got list"),
+    ],
+)
+def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):
+    (tmp_path / "c.complex").write_text("a b\n", encoding="utf-8")
+    (tmp_path / "c.simple").write_text("x\n", encoding="utf-8")
+    meta_path = tmp_path / "c.meta.json"
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    argv = ["--corpus", str(tmp_path / "c")]
+    if command == "subset":
+        argv += ["-n", "1", "--out", str(tmp_path / "s")]
+    code, stdout, stderr = run(capsys, command, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {meta_path}: ") and stderr.count("\n") == 1
+    assert message in stderr
+    assert not list(tmp_path.glob("s*"))
+
+
+def test_import_loads_neither_multiprocessing_nor_hashlib():
+    # A one-worker run pays for neither: the pool and the dedup digest import them late.
+    src = str(Path(sscorpus.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "import sys, sscorpus.cli; print({'multiprocessing', 'hashlib'} & set(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "set()\n"
 
 
 class TestAblate:

@@ -1,4 +1,5 @@
 import json
+import os
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -13,6 +14,8 @@ from sscorpus.ingest import (
     CorpusWriter,
     TranslationSource,
     count_lines,
+    count_pairs,
+    iter_corpus,
     iter_lines,
     open_aligned,
     read_corpus,
@@ -113,6 +116,28 @@ class TestTranslate:
         source = TranslationSource("false", batch_size=2)
         with pytest.raises(RuntimeError, match="exit code 1"):
             list(translate(iter(["a", "b"]), source))
+
+    def test_external_extra_output_after_last_batch(self):
+        source = TranslationSource("sh -c 'cat; echo extra'", batch_size=2)
+        with pytest.raises(RuntimeError, match="more output lines than input lines"):
+            list(translate(iter(["a", "b", "c"]), source))
+
+    def test_external_fails_after_answering_every_line(self):
+        source = TranslationSource("sh -c 'cat; exit 3'", batch_size=2)
+        with pytest.raises(RuntimeError, match=r"failed with exit code 3$"):
+            list(translate(iter(["a", "b", "c"]), source))
+
+    def test_external_invalid_utf8_names_output_and_line(self):
+        # Answers line by line; the answer to "bad" is not UTF-8.
+        command = r"""sh -c 'while read -r l; do
+            if [ "$l" = bad ]; then printf "\377\n"; else echo "$l"; fi; done'"""
+        source = TranslationSource(command, batch_size=2)
+        with pytest.raises(ValueError, match="translator output: invalid UTF-8 on line 3"):
+            list(translate(iter(["a", "b", "bad", "c"]), source))
+
+    def test_batch_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            TranslationSource("cat", batch_size=0)
 
     @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan"), float("inf")])
     def test_timeout_must_be_positive_and_finite(self, timeout):
@@ -250,6 +275,30 @@ class TestCorpusPersistence:
         with pytest.raises(ValueError, match="header"):
             read_corpus(tmp_path / "out", format="tsv")
 
+    def test_tsv_row_with_wrong_field_count(self, tmp_path):
+        write_corpus(self.build(), tmp_path / "out", format="tsv")
+        path = tmp_path / "out.tsv"
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("complex\tsimple\t1.0\n")
+        n_rows = count_lines(path)
+        with pytest.raises(ValueError, match=rf"out\.tsv: malformed row {n_rows}$"):
+            list(iter_corpus(tmp_path / "out", format="tsv"))
+
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown corpus format 'json'"):
+            next(iter_corpus(tmp_path / "out", format="json"))
+        with pytest.raises(ValueError, match="unknown corpus format 'json'"):
+            count_pairs(tmp_path / "out", format="json")
+
+    def test_writer_that_cannot_open_a_temporary_file(self, tmp_path):
+        write_corpus(self.build(), tmp_path / "old", format="plain")
+        # A directory holds the name of the second temporary file.
+        (tmp_path / f"old.simple.{os.getpid()}.tmp").mkdir()
+        before = {path.name: path.is_file() and path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(OSError, match=rf"old\.simple\.{os.getpid()}\.tmp"):
+            CorpusWriter(tmp_path / "old", "plain")
+        assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 def text_corpus(sentence_pairs) -> SimplificationCorpus:
     pairs = [
@@ -326,6 +375,18 @@ class TestEvalDataset:
         write(tmp_path / "dev.ref.1", ["only one line"])
         with pytest.raises(ValueError, match="dev.ref.1"):
             read_eval_dataset(directory)
+
+    def test_wrong_line_count_is_found_before_reading(self, tmp_path):
+        directory = self.make_dataset(tmp_path)
+        # Decoding would stop at the invalid byte; the line count is checked first.
+        (tmp_path / "dev.ref.0").write_bytes(b"one\ntwo\nthree\nfour\nfive\n\xff\n")
+        with pytest.raises(ValueError, match=r"5 lines in .*dev\.src vs 6 lines in .*dev\.ref\.0"):
+            read_eval_dataset(directory)
+
+    def test_no_ref_files_is_an_error(self, tmp_path):
+        write(tmp_path / "dev.src", ["x"])
+        with pytest.raises(ValueError, match=r"no dev\.ref\.<i> files found"):
+            read_eval_dataset(tmp_path)
 
     def test_no_src_file_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="exactly one .src"):
