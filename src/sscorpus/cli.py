@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import ExitStack
 from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Optional
@@ -132,8 +131,8 @@ def _input_streams(args: argparse.Namespace) -> tuple[Iterable[str], Iterable[st
         return ingest.open_aligned(Path(args.target), Path(args.translations))
     if not args.bridge:
         raise ValueError("--translator-cmd requires --bridge")
-    targets, bridge = ingest.open_aligned(Path(args.target), Path(args.bridge))
     source = ingest.TranslationSource(args.translator_cmd, args.batch_size, args.translator_timeout)
+    targets, bridge = ingest.open_aligned(Path(args.target), Path(args.bridge))
     # The two sides are separate files, so each can be streamed on its own;
     # the translator is free to read bridge lines a batch ahead.
     return targets, ingest.translate(bridge, source)
@@ -166,14 +165,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     config = _selector_config(args)
     profile = get_profile(args.lang)
     targets, translations = _input_streams(args)
-    with ingest.CorpusWriter(args.out, args.format) as writer:
+    with ingest.writing([args.out], args.format) as (writer,):
         corpus = pipeline.build_corpus(
             targets, translations, config, profile, workers=args.workers, sink=writer
         )
         writer.close(corpus, _run_info(args))
-        written = ingest.publish([writer])
     _print_summary(corpus.drop_tally)
-    print("wrote: " + " ".join(str(p) for p in written))
+    print("wrote: " + " ".join(str(p) for p in writer.paths))
     return 0
 
 
@@ -208,17 +206,14 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     targets, translations = _input_streams(args)
     # Every variant is complete under temporary names before any is renamed
     # into place, so a failed run leaves none of them behind.
-    with ExitStack() as stack:
-        writers = {
-            name: stack.enter_context(ingest.CorpusWriter(f"{args.out}.{name}", args.format))
-            for name in pipeline.ABLATION_VARIANTS
-        }
+    names = pipeline.ABLATION_VARIANTS
+    with ingest.writing([f"{args.out}.{name}" for name in names], args.format) as writers:
+        sinks = dict(zip(names, writers))
         variants = pipeline.ablate(
-            targets, translations, profile, config, workers=args.workers, sinks=writers
+            targets, translations, profile, config, workers=args.workers, sinks=sinks
         )
         for name, corpus in variants.items():
-            writers[name].close(corpus, _run_info(args, {"variant": name}))
-        ingest.publish(writers.values())
+            sinks[name].close(corpus, _run_info(args, {"variant": name}))
     kept = {name: corpus.stats.total_pairs for name, corpus in variants.items()}
     print(json.dumps({"kept": kept}, indent=2))
     return 0
@@ -229,10 +224,9 @@ def cmd_subset(args: argparse.Namespace) -> int:
     total = ingest.count_pairs(args.corpus, format=args.format)
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
     sampled = pipeline.sample(pairs, total, args.n, args.seed)
-    with ingest.CorpusWriter(args.out, args.format) as writer:
+    with ingest.writing([args.out], args.format) as (writer,):
         stats = pipeline.compute_corpus_stats(sampled, get_profile(lang), sink=writer)
         writer.close(pipeline.SimplificationCorpus([], lang, config, stats), _run_info(args))
-        ingest.publish([writer])
     print(f"kept {stats.total_pairs} of {total} pairs")
     return 0
 

@@ -5,7 +5,8 @@ UTF-8 and normalized to Unicode NFC on read, so downstream equality checks
 and tokenization are stable. Readers and the corpus writer stream, so the
 command line's ``build``, ``ablate``, ``stats`` and ``subset`` keep no
 whole corpus in memory; only :func:`read_corpus`, which returns one, and
-the small evaluation datasets are held whole.
+the small evaluation datasets are held whole. Every corpus is committed by
+one :func:`writing` block, and a failed run removes only what it created.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import subprocess
 import threading
 import time
 import unicodedata
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -51,6 +52,8 @@ class TranslationSource:
     timeout: float = 300.0
 
     def __post_init__(self):
+        if not shlex.split(self.command):
+            raise ValueError("translator command is empty")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.timeout < math.inf:
@@ -130,8 +133,8 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
             except OSError:
                 pass  # unflushed lines to a dead child
 
-    def wait_exit(when: str) -> None:
-        # The translator closed its stdout; it should exit right after.
+    def finish(when: str, where: str = "") -> None:
+        # The translator closed its stdout; it should exit right after, and cleanly.
         try:
             proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -139,6 +142,8 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
             raise RuntimeError(
                 f"translator closed its output {when} but did not exit within {timeout:g}s"
             ) from None
+        if proc.returncode:
+            raise RuntimeError(f"translator command failed with exit code {proc.returncode}{where}")
 
     threading.Thread(target=read_stdout, daemon=True).start()
     threading.Thread(target=write_stdin, daemon=True).start()
@@ -157,12 +162,7 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
                     f"(lines {start_line}-{start_line + len(batch) - 1})"
                 ) from None
             if raw is eof:
-                wait_exit(f"at batch {batch_index}")
-                if proc.returncode:
-                    raise RuntimeError(
-                        f"translator command failed with exit code {proc.returncode} "
-                        f"at batch {batch_index}"
-                    )
+                finish(f"at batch {batch_index}", f" at batch {batch_index}")
                 raise RuntimeError(
                     f"translator produced {len(results)} lines for batch {batch_index} "
                     f"(expected {len(batch)}, lines {start_line}-{start_line + len(batch) - 1})"
@@ -199,9 +199,7 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
         if leftover is not eof:
             proc.kill()
             raise RuntimeError("translator produced more output lines than input lines")
-        wait_exit("after the last batch")
-        if proc.returncode:
-            raise RuntimeError(f"translator command failed with exit code {proc.returncode}")
+        finish("after the last batch")
     finally:
         try:
             in_queue.put_nowait(None)  # unblock the writer thread on error paths
@@ -220,8 +218,13 @@ def _parse_score(text: str) -> Optional[float]:
     return None if text == "" else float(text)
 
 
-def _open_text(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _pair_paths(prefix: Path | str, format: str) -> list[Path]:
+    """The pair files of a corpus at ``prefix``; the one place a format name is checked."""
+    if format == "plain":
+        return [Path(f"{prefix}.complex"), Path(f"{prefix}.simple")]
+    if format == "tsv":
+        return [Path(f"{prefix}.tsv")]
+    raise ValueError(f"unknown corpus format {format!r}")
 
 
 class CorpusWriter:
@@ -232,32 +235,36 @@ class CorpusWriter:
 
     Files are written under temporary names in the output directory:
     :meth:`append` per pair, then ``<prefix>.meta.json`` by :meth:`close`;
-    :func:`publish` renames them into place. The ``with`` block removes any
-    temporary file and directory left, so a failed or interrupted run leaves
-    no new file behind and an earlier corpus at the same prefix untouched.
+    :func:`writing` renames them into place. The ``with`` block removes the
+    temporary files this writer created and any directory it made that is
+    still empty, so a failed or interrupted run leaves no new file behind
+    and an earlier corpus at the same prefix untouched.
     """
 
     def __init__(self, out_prefix: Path | str, format: str = "plain") -> None:
-        if format not in ("plain", "tsv"):
-            raise ValueError(f"unknown corpus format {format!r}")
+        prefix = Path(out_prefix)
+        self.paths = [*_pair_paths(prefix, format), Path(f"{prefix}.meta.json")]
         self.format = format
         self._tsv = format == "tsv"
-        prefix = Path(out_prefix)
-        # Directories made here are removed again unless the corpus is published.
+        self._temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in self.paths]
+        self._created: list[Path] = []
         self._new_dirs = [d for d in (prefix.parent, *prefix.parent.parents) if not d.exists()]
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        suffixes = ("tsv",) if self._tsv else ("complex", "simple")
-        self.paths = [Path(f"{prefix}.{suffix}") for suffix in (*suffixes, "meta.json")]
-        self._temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in self.paths]
         self._files = ExitStack()
         try:
-            files = [self._files.enter_context(_open_text(p)) for p in self._temporary[:-1]]
+            files = [self._files.enter_context(self._create(p)) for p in self._temporary[:-1]]
             self._writes = [fh.write for fh in files]
             if self._tsv:
                 self._writes[0](_TSV_HEADER + "\n")
         except BaseException:
             self.__exit__()
             raise
+
+    def _create(self, path: Path):
+        # Recorded once it exists, so the cleanup never removes what it did not make.
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+        self._created.append(path)
+        return fh
 
     def __enter__(self) -> CorpusWriter:
         return self
@@ -266,9 +273,9 @@ class CorpusWriter:
         try:
             self._files.close()
         finally:
-            for path in self._temporary:
-                path.unlink(missing_ok=True)
-            with suppress(OSError):  # one that something else has written to stays
+            for path in self._created:
+                path.unlink(missing_ok=True)  # a renamed one is gone already
+            with suppress(OSError):  # one that holds a corpus or something else stays
                 for directory in self._new_dirs:
                     directory.rmdir()
 
@@ -303,28 +310,32 @@ class CorpusWriter:
         if run_info:
             meta["run"] = run_info
         self._files.close()
-        with _open_text(self._temporary[-1]) as fh:
+        with self._create(self._temporary[-1]) as fh:
             json.dump(meta, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
 
 
-def publish(writers: Iterable[CorpusWriter]) -> list[Path]:
-    """Rename the closed writers' files into place, every ``meta.json`` last; returns the paths.
+@contextmanager
+def writing(prefixes: Iterable[Path | str], format: str = "plain") -> Iterator[list[CorpusWriter]]:
+    """One :class:`CorpusWriter` per prefix, committed together when the block ends cleanly.
 
-    A corpus whose ``meta.json`` is in place is complete. Nothing is renamed
-    while any target is a directory, so that failure leaves nothing new.
+    Each writer must be closed in the block. Then every pair file is renamed
+    into place, and every ``meta.json`` last: a corpus whose ``meta.json`` is
+    in place is complete. Nothing is renamed while a target is a directory or
+    a file is missing, and on any error each writer removes what it created.
     """
-    writers = list(writers)
-    moves = [move for w in writers for move in zip(w._temporary[:-1], w.paths[:-1])]
-    moves += [(w._temporary[-1], w.paths[-1]) for w in writers]
-    for _, target in moves:
-        if target.is_dir():
-            raise IsADirectoryError(f"cannot write {target}: it is a directory")
-    for source, target in moves:
-        os.replace(source, target)
-    for writer in writers:
-        writer._new_dirs = []
-    return [target for _, target in moves]
+    with ExitStack() as stack:
+        writers = [stack.enter_context(CorpusWriter(prefix, format)) for prefix in prefixes]
+        yield writers
+        moves = [move for w in writers for move in zip(w._temporary[:-1], w.paths[:-1])]
+        moves += [(w._temporary[-1], w.paths[-1]) for w in writers]
+        for source, target in moves:
+            if target.is_dir():
+                raise IsADirectoryError(f"cannot write {target}: it is a directory")
+            if not source.is_file():
+                raise FileNotFoundError(f"cannot write {target}: {source} is missing")
+        for source, target in moves:
+            os.replace(source, target)
 
 
 def write_corpus(
@@ -333,58 +344,53 @@ def write_corpus(
     format: str = "plain",
     run_info: Optional[dict] = None,
 ) -> list[Path]:
-    """Write ``corpus`` with one :class:`CorpusWriter`; returns the paths written."""
-    with CorpusWriter(out_prefix, format) as writer:
+    """Write ``corpus`` through :func:`writing`; returns the paths written."""
+    with writing([out_prefix], format) as (writer,):
         for pair in corpus.pairs:
             writer.append(pair)
         writer.close(corpus, run_info)
-        return publish([writer])
+    return writer.paths
 
 
 def read_meta(prefix: Path | str) -> tuple[str, SelectorConfig, Optional[DropTally]]:
     """The language, selector config and drop tally in ``<prefix>.meta.json``, with defaults."""
     meta_path = Path(f"{prefix}.meta.json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    if not isinstance(meta, dict):
-        raise ValueError(f"{meta_path}: expected a JSON object, got {type(meta).__name__}")
     try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+        if not isinstance(meta, dict):
+            raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
         config = SelectorConfig(**meta.get("config", {}))
         tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or unknown keys
         raise ValueError(f"{meta_path}: {exc}") from None
     return meta.get("lang", "en"), config, tally
 
 
 def count_pairs(prefix: Path | str, format: str = "plain") -> int:
     """Number of pairs in a corpus written by :class:`CorpusWriter`, from its line count."""
-    if format == "plain":
-        return count_lines(Path(f"{prefix}.complex"))
-    if format == "tsv":
-        return max(count_lines(Path(f"{prefix}.tsv")) - 1, 0)  # less the header
-    raise ValueError(f"unknown corpus format {format!r}")
+    lines = count_lines(_pair_paths(prefix, format)[0])
+    return max(lines - (format == "tsv"), 0)  # less the TSV header
 
 
 def iter_corpus(prefix: Path | str, format: str = "plain") -> Iterator[LabeledPair]:
     """Stream the pairs of a corpus written by :class:`CorpusWriter`, in order."""
+    paths = _pair_paths(prefix, format)
     if format == "plain":
-        complex_lines, simple_lines = open_aligned(
-            Path(f"{prefix}.complex"), Path(f"{prefix}.simple")
-        )
+        complex_lines, simple_lines = open_aligned(*paths)
         rows = ((c, s, "", "", "", "") for c, s in zip(complex_lines, simple_lines))
-    elif format == "tsv":
-        path = Path(f"{prefix}.tsv")
+    else:
+        (path,) = paths
         lines = iter_lines(path)
         header = next(lines, None)
         if header != _TSV_HEADER:
             raise ValueError(f"{path}: header is {header!r}, expected {_TSV_HEADER!r}")
         rows = (line.split("\t") for line in lines)
-    else:
-        raise ValueError(f"unknown corpus format {format!r}")
     for index, fields in enumerate(rows):
-        if len(fields) != 6:
-            raise ValueError(f"{path}: malformed row {index + 2}")
-        complex_text, simple_text, *scores = fields
-        bleu, fres_complex, fres_simple, fres_gap = map(_parse_score, scores)
+        try:
+            complex_text, simple_text, *scores = fields
+            bleu, fres_complex, fres_simple, fres_gap = map(_parse_score, scores)
+        except ValueError:  # a wrong field count or a score that is not a number
+            raise ValueError(f"{path}: malformed row {index + 2}") from None
         yield LabeledPair(
             complex_text, simple_text, fres_gap or 0.0, "unlabeled", index,
             bleu, fres_complex, fres_simple,

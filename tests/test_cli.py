@@ -149,6 +149,16 @@ class TestBuild:
         assert stderr == "error: --translator-cmd requires --bridge\n"
         assert list(tmp_path.glob("x*")) == []
 
+    def test_blank_translator_cmd_is_an_error(self, tmp_path, capsys):
+        target, _ = write_aligned_files(tmp_path, 5)
+        code, stdout, stderr = run(
+            capsys, "build", "--target", str(target), "--bridge", str(tmp_path / "missing"),
+            "--translator-cmd", "   ", "--out", str(tmp_path / "x"),
+        )
+        # Rejected before any input is opened: the missing bridge file is not reported.
+        assert (code, stdout, stderr) == (1, "", "error: translator command is empty\n")
+        assert list(tmp_path.glob("x*")) == []
+
     def test_translator_with_timeout_matches_precomputed(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 40)
         argv = ["build", "--target", str(target)]
@@ -270,13 +280,15 @@ class TestStats:
     [
         ({"config": {"min_len": 3}}, "unexpected keyword argument 'min_len'"),
         ([1, 2], "expected a JSON object, got list"),
+        (b'{"lang": "en",}', "Expecting property name enclosed in double quotes"),
+        (b'{"lang": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
     ],
 )
 def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):
     (tmp_path / "c.complex").write_text("a b\n", encoding="utf-8")
     (tmp_path / "c.simple").write_text("x\n", encoding="utf-8")
     meta_path = tmp_path / "c.meta.json"
-    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    meta_path.write_bytes(meta if isinstance(meta, bytes) else json.dumps(meta).encode())
     argv = ["--corpus", str(tmp_path / "c")]
     if command == "subset":
         argv += ["-n", "1", "--out", str(tmp_path / "s")]

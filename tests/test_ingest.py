@@ -22,6 +22,7 @@ from sscorpus.ingest import (
     read_eval_dataset,
     translate,
     write_corpus,
+    writing,
 )
 from sscorpus.pipeline import (
     LabeledPair,
@@ -134,6 +135,11 @@ class TestTranslate:
         source = TranslationSource(command, batch_size=2)
         with pytest.raises(ValueError, match="translator output: invalid UTF-8 on line 3"):
             list(translate(iter(["a", "b", "bad", "c"]), source))
+
+    def test_blank_command_is_rejected(self):
+        for command in ("", " \t "):
+            with pytest.raises(ValueError, match="translator command is empty"):
+                TranslationSource(command)
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
@@ -284,6 +290,15 @@ class TestCorpusPersistence:
         with pytest.raises(ValueError, match=rf"out\.tsv: malformed row {n_rows}$"):
             list(iter_corpus(tmp_path / "out", format="tsv"))
 
+    def test_tsv_score_that_is_not_a_number(self, tmp_path):
+        write_corpus(self.build(), tmp_path / "out", format="tsv")
+        path = tmp_path / "out.tsv"
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("complex\tsimple\tx\t1.0\t2.0\t-1.0\n")
+        n_rows = count_lines(path)
+        with pytest.raises(ValueError, match=rf"out\.tsv: malformed row {n_rows}$"):
+            list(iter_corpus(tmp_path / "out", format="tsv"))
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown corpus format 'json'"):
             next(iter_corpus(tmp_path / "out", format="json"))
@@ -295,9 +310,48 @@ class TestCorpusPersistence:
         # A directory holds the name of the second temporary file.
         (tmp_path / f"old.simple.{os.getpid()}.tmp").mkdir()
         before = {path.name: path.is_file() and path.read_bytes() for path in tmp_path.iterdir()}
-        with pytest.raises(OSError, match=rf"old\.simple\.{os.getpid()}\.tmp"):
+        with pytest.raises(OSError, match=rf"old\.simple\.{os.getpid()}\.tmp") as raised:
             CorpusWriter(tmp_path / "old", "plain")
+        assert raised.value.__context__ is None  # the cleanup raised nothing over it
         assert {p.name: p.is_file() and p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_interrupted_writing_keeps_what_the_writer_did_not_make(self, tmp_path):
+        corpus = self.build()
+        # A directory takes the meta.json temporary name before close() would create it.
+        foreign = tmp_path / "out" / f"c.meta.json.{os.getpid()}.tmp"
+        with pytest.raises(KeyboardInterrupt):
+            with writing([tmp_path / "out" / "c"], "plain") as (writer,):
+                writer.append(corpus.pairs[0])
+                foreign.mkdir()
+                raise KeyboardInterrupt
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "out", foreign]
+
+    def test_writing_commits_every_writer_or_none(self, tmp_path):
+        corpus = self.build()
+        prefixes = [tmp_path / "a", tmp_path / "b"]
+        (tmp_path / "b.complex").mkdir()
+        with pytest.raises(IsADirectoryError, match=r"b\.complex"):
+            with writing(prefixes, "plain") as writers:
+                for writer in writers:
+                    writer.close(corpus)
+        assert list(tmp_path.iterdir()) == [tmp_path / "b.complex"]
+        (tmp_path / "b.complex").rmdir()
+        write_corpus(corpus, tmp_path / "a")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        with pytest.raises(FileNotFoundError, match=r"a\.meta\.json: .*\.tmp is missing"):
+            with writing(prefixes, "plain") as writers:
+                writers[1].close(corpus)  # the first writer is never closed
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        with writing([tmp_path / "new" / "a", tmp_path / "new" / "b"], "tsv") as writers:
+            for writer in writers:
+                writer.append(corpus.pairs[0])
+                writer.close(corpus)
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == [
+            "a.meta.json", "a.tsv", "b.meta.json", "b.tsv"
+        ]
+        assert [p.complex for p in iter_corpus(tmp_path / "new" / "b", "tsv")] == [
+            corpus.pairs[0].complex
+        ]
 
 
 def text_corpus(sentence_pairs) -> SimplificationCorpus:
