@@ -182,11 +182,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.row == "source":
         hypotheses = sources
     else:
-        hypotheses = list(ingest.iter_lines(Path(args.hypotheses)))
-        if len(hypotheses) != len(sources):
+        # Counted before decoding, so a misaligned file is reported as such.
+        if (n_hypotheses := ingest.count_lines(Path(args.hypotheses))) != len(sources):
             raise ValueError(
-                f"{args.hypotheses}: {len(hypotheses)} hypotheses for {len(sources)} sources"
+                f"{args.hypotheses}: {n_hypotheses} hypotheses for {len(sources)} sources"
             )
+        hypotheses = list(ingest.iter_lines(Path(args.hypotheses)))
     report = metrics.evaluate(sources, hypotheses, references, get_profile(args.lang))
     print(json.dumps(report.to_dict(), indent=2))
     return 0

@@ -11,7 +11,10 @@ BLEU and SARI share one n-gram kernel: a single ``Counter`` over the
 n-grams of every order of a sentence, each keyed by its token tuple (for
 SARI's references, one pooled counter over all of them). Within one order a
 counter lists its n-grams in first-occurrence order, and SARI's per-order
-float sums add their terms in that order.
+float sums add their terms in that order. ``evaluate`` walks the items once and
+tokenizes each distinct string of an item once per casing; lowercased tokens are
+not derived from cased ones, as the 13a rules do not commute with lowercasing
+(``<SKIPPED>``, ``&QUOT;`` and ``ΑΣ:Β`` differ).
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .textprep import LanguageProfile, metric_tokens, split_sentences, text_stats
 
@@ -142,10 +145,8 @@ def _fkgl_syllables(token: str) -> int:
     return count
 
 
-def _fkgl_counts(text: str) -> tuple[int, int, int]:
-    tokens = metric_tokens(text.lower())
-    if not tokens:
-        return 0, 0, 0
+def _fkgl_counts(tokens: Sequence[str]) -> tuple[int, int, int]:
+    # No tokens give (0, 1, 0), which pools and raises like (0, 0, 0).
     n_sentences = max(split_sentences(" ".join(tokens)), 1)
     return len(tokens), n_sentences, sum(_fkgl_syllables(t) for t in tokens)
 
@@ -162,28 +163,28 @@ def _fkgl_formula(n_words: int, n_sentences: int, n_syllables: int) -> float:
 
 def fkgl(text: str) -> float:
     """Flesch-Kincaid grade level of English text, unclamped (can go negative)."""
-    return _fkgl_formula(*_fkgl_counts(text))
+    return _fkgl_formula(*_fkgl_counts(metric_tokens(text.lower())))
 
 
-def _pooled(counts: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """Summed (words, sentences, syllables); each text with words adds >= 1 sentence."""
-    n_words = n_sentences = n_syllables = 0
-    for item_words, item_sentences, item_syllables in counts:
-        if item_words:
-            n_words += item_words
-            n_sentences += max(item_sentences, 1)
-            n_syllables += item_syllables
-    return n_words, n_sentences, n_syllables
+def _pool(totals: list[int], counts: tuple[int, int, int]) -> list[int]:
+    """Add one text's (words, sentences, syllables); a text with words adds >= 1 sentence."""
+    n_words, n_sentences, n_syllables = counts
+    if n_words:
+        totals[0] += n_words
+        totals[1] += max(n_sentences, 1)
+        totals[2] += n_syllables
+    return totals
 
 
 def corpus_fkgl(texts: Sequence[str]) -> float:
     """Grade level over pooled counts (each text contributes >= 1 sentence)."""
-    return _fkgl_formula(*_pooled(map(_fkgl_counts, texts)))
+    counts = (_fkgl_counts(metric_tokens(text.lower())) for text in texts)
+    return _fkgl_formula(*reduce(_pool, counts, [0] * 3))
 
 
 def corpus_fres(texts: Sequence[str], profile: LanguageProfile) -> float:
     """Reading ease over pooled counts (each text contributes >= 1 sentence)."""
-    return _fres_formula(profile, *_pooled(text_stats(text, profile) for text in texts))
+    return _fres_formula(profile, *reduce(_pool, (text_stats(t, profile) for t in texts), [0] * 3))
 
 
 # --- BLEU ---
@@ -330,23 +331,23 @@ def _f1(precision: float, recall: float) -> float:
     return 0.0
 
 
-def _sari_sentence(
+def _sari_item(
     source: str, hypothesis: str, references: Sequence[str], max_order: int
-) -> tuple[float, float, float]:
-    """Mean (keep, delete, add) over n-gram orders 1..max_order for one sentence.
+) -> tuple[float, float, float, list[str]]:
+    """Mean (keep, delete, add) over n-gram orders 1..max_order, and lowercased hypothesis tokens.
 
-    Source and hypothesis counts are scaled by the number of references so
-    they are comparable with the counts pooled over all references. Each
-    order's float sums run over the source n-grams of that order in
-    first-occurrence order.
+    A hypothesis equal to its source shares the source's n-gram counts. Source and
+    hypothesis counts are scaled by the number of references so they are comparable
+    with the counts pooled over all references. Each order's float sums run over the
+    source n-grams of that order in first-occurrence order.
     """
     num_refs = len(references)
-    source_counts = _ngram_counts(metric_tokens(source.lower()), max_order)
-    hyp_counts = _ngram_counts(metric_tokens(hypothesis.lower()), max_order)
+    lowered = {text: metric_tokens(text.lower()) for text in {source, hypothesis, *references}}
+    source_counts = _ngram_counts(lowered[source], max_order)
+    hyp_tokens = lowered[hypothesis]
+    hyp_counts = source_counts if hypothesis == source else _ngram_counts(hyp_tokens, max_order)
     ref_counts = Counter(
-        chain.from_iterable(
-            _all_order_grams(metric_tokens(ref.lower()), max_order) for ref in references
-        )
+        chain.from_iterable(_all_order_grams(lowered[ref], max_order) for ref in references)
     )
     in_hyp = hyp_counts.get
     in_refs = ref_counts.get
@@ -406,16 +407,17 @@ def _sari_sentence(
             n_added_good[n] / n_added[n] if n_added[n] else 0.0,
             n_added_good[n] / n_addable if n_addable else 0.0,
         )
-    return keep_total / max_order, delete_total / max_order, add_total / max_order
+    return keep_total / max_order, delete_total / max_order, add_total / max_order, hyp_tokens
 
 
-def sari(
+def _sari_walk(
     sources: Sequence[str],
     hypotheses: Sequence[str],
     references: Sequence[Sequence[str]],
-    max_order: int = MAX_NGRAM_ORDER,
+    max_order: int,
+    visit: Callable[[str, Sequence[str], list[str]], None],
 ) -> SariBreakdown:
-    """Corpus SARI: per-sentence keep/add/delete averaged over the corpus."""
+    """Corpus SARI in one checked walk; ``visit`` sees each hypothesis, refs and lowered tokens."""
     if not (len(sources) == len(hypotheses) == len(references)):
         raise ValueError(
             "aligned sources/hypotheses/references required, got lengths "
@@ -423,14 +425,15 @@ def sari(
         )
     if not hypotheses:
         raise ValueError("nothing to score: empty input")
+    if not all(references):
+        raise ValueError("every hypothesis needs at least one reference")
     keep_sum = delete_sum = add_sum = 0.0
     for source, hypothesis, refs in zip(sources, hypotheses, references):
-        if not refs:
-            raise ValueError("every hypothesis needs at least one reference")
-        keep, delete, add = _sari_sentence(source, hypothesis, refs, max_order)
+        keep, delete, add, hyp_tokens = _sari_item(source, hypothesis, refs, max_order)
         keep_sum += keep
         delete_sum += delete
         add_sum += add
+        visit(hypothesis, refs, hyp_tokens)
     n = len(hypotheses)
     f_keep = 100.0 * keep_sum / n
     f_delete = 100.0 * delete_sum / n
@@ -444,22 +447,44 @@ def sari(
     )
 
 
+def sari(
+    sources: Sequence[str],
+    hypotheses: Sequence[str],
+    references: Sequence[Sequence[str]],
+    max_order: int = MAX_NGRAM_ORDER,
+) -> SariBreakdown:
+    """Corpus SARI: per-sentence keep/add/delete averaged over the corpus."""
+    return _sari_walk(sources, hypotheses, references, max_order, lambda *item: None)
+
+
 def evaluate(
     sources: Sequence[str],
     hypotheses: Sequence[str],
     references: Sequence[Sequence[str]],
     profile: LanguageProfile,
 ) -> EvalReport:
-    """Score aligned (source, hypothesis, reference-set) triples.
+    """Score aligned (source, hypothesis, reference-set) triples in one walk over the items.
 
-    SARI and BLEU compare hypotheses against sources/references; FKGL (with
-    its English formula) and reading ease (with ``profile``) are computed
-    over the pooled hypothesis counts. SARI runs first and checks the inputs.
+    FKGL (English formula) takes SARI's lowercased hypothesis tokens; it and reading ease
+    (``profile``) pool over the items. BLEU skips repeated references, which change no count.
     """
+    order = MAX_NGRAM_ORDER
+    correct, total, lengths = [0] * order, [0] * order, [0, 0]
+    fkgl_totals, fres_totals = [0, 0, 0], [0, 0, 0]
+
+    def visit(hypothesis: str, refs: Sequence[str], lowered: list[str]) -> None:
+        cased = {text: metric_tokens(text) for text in {hypothesis, *refs}}
+        hyp_tokens, refs_tokens = cased[hypothesis], [cased[ref] for ref in set(refs)]
+        sys_len, ref_len = _accumulate_bleu_stats(hyp_tokens, refs_tokens, correct, total, order)
+        lengths[0] += sys_len
+        lengths[1] += ref_len
+        _pool(fkgl_totals, _fkgl_counts(lowered))
+        _pool(fres_totals, text_stats(hypothesis, profile))
+
     return EvalReport(
-        sari=sari(sources, hypotheses, references),
-        fkgl=corpus_fkgl(hypotheses),
-        fres=corpus_fres(hypotheses, profile),
-        bleu=corpus_bleu(hypotheses, references),
+        sari=_sari_walk(sources, hypotheses, references, order, visit),
+        fkgl=_fkgl_formula(*fkgl_totals),
+        fres=_fres_formula(profile, *fres_totals),
+        bleu=_bleu_score(correct, total, *lengths, order, effective_order=False),
         n_items=len(hypotheses),
     )

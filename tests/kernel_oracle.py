@@ -12,6 +12,13 @@ metrics module used to, so the differential tests can compare exact values.
 The SARI section is copied unchanged from the implementation that the
 all-orders n-gram counter replaced: four per-order ``Counter``s per side
 combined with ``&``, ``-`` and set operations.
+
+The evaluation section is copied unchanged from the implementation that the
+one-walk ``evaluate`` replaced: SARI, corpus BLEU, grade level and reading
+ease each walk the items on their own and tokenize every string they read.
+It runs on this module's tokenizer, SARI, BLEU and text statistics; the
+syllable heuristic and the two readability formulas, which the walk did not
+change, come from the metrics module.
 """
 
 from __future__ import annotations
@@ -20,9 +27,15 @@ import math
 import re
 from collections import Counter
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from sscorpus.metrics import SariBreakdown
+from sscorpus.metrics import (
+    EvalReport,
+    SariBreakdown,
+    _fkgl_formula,
+    _fkgl_syllables,
+    _fres_formula,
+)
 from sscorpus.pipeline import CorpusStats
 from sscorpus.textprep import LanguageProfile, TextStats, split_sentences
 
@@ -358,4 +371,57 @@ def sari(
         f_add=f_add,
         f_delete=f_delete,
         max_ngram_order=max_order,
+    )
+
+
+# --- evaluation ---
+
+
+def _fkgl_counts(text: str) -> tuple[int, int, int]:
+    tokens = metric_tokens(text.lower())
+    if not tokens:
+        return 0, 0, 0
+    n_sentences = max(split_sentences(" ".join(tokens)), 1)
+    return len(tokens), n_sentences, sum(_fkgl_syllables(t) for t in tokens)
+
+
+def _pooled(counts: Iterable[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Summed (words, sentences, syllables); each text with words adds >= 1 sentence."""
+    n_words = n_sentences = n_syllables = 0
+    for item_words, item_sentences, item_syllables in counts:
+        if item_words:
+            n_words += item_words
+            n_sentences += max(item_sentences, 1)
+            n_syllables += item_syllables
+    return n_words, n_sentences, n_syllables
+
+
+def corpus_fkgl(texts: Sequence[str]) -> float:
+    """Grade level over pooled counts (each text contributes >= 1 sentence)."""
+    return _fkgl_formula(*_pooled(map(_fkgl_counts, texts)))
+
+
+def corpus_fres(texts: Sequence[str], profile: LanguageProfile) -> float:
+    """Reading ease over pooled counts (each text contributes >= 1 sentence)."""
+    return _fres_formula(profile, *_pooled(text_stats(text, profile) for text in texts))
+
+
+def evaluate(
+    sources: Sequence[str],
+    hypotheses: Sequence[str],
+    references: Sequence[Sequence[str]],
+    profile: LanguageProfile,
+) -> EvalReport:
+    """Score aligned (source, hypothesis, reference-set) triples.
+
+    SARI and BLEU compare hypotheses against sources/references; FKGL (with
+    its English formula) and reading ease (with ``profile``) are computed
+    over the pooled hypothesis counts. SARI runs first and checks the inputs.
+    """
+    return EvalReport(
+        sari=sari(sources, hypotheses, references),
+        fkgl=corpus_fkgl(hypotheses),
+        fres=corpus_fres(hypotheses, profile),
+        bleu=corpus_bleu(hypotheses, references),
+        n_items=len(hypotheses),
     )

@@ -251,6 +251,27 @@ class TestEval:
         assert code == 1
         assert "1 hypotheses for 4 sources" in stderr
 
+    def test_misaligned_hypotheses_are_counted_before_decoding(self, tmp_path, capsys):
+        make_dataset(tmp_path, n_lines=2)
+        hyp_path = tmp_path / "hyp.txt"
+        hyp_path.write_bytes(b"one.\n\xff two.\nthree.\n")
+        code, _, stderr = run(
+            capsys, "eval", "--dataset", str(tmp_path), "--hypotheses", str(hyp_path),
+        )
+        assert code == 1
+        assert "3 hypotheses for 2 sources" in stderr
+        assert "invalid UTF-8" not in stderr
+
+    def test_aligned_hypotheses_with_an_invalid_byte_exit_1(self, tmp_path, capsys):
+        make_dataset(tmp_path, n_lines=2)
+        hyp_path = tmp_path / "hyp.txt"
+        hyp_path.write_bytes(b"one.\n\xff two.\n")
+        code, _, stderr = run(
+            capsys, "eval", "--dataset", str(tmp_path), "--hypotheses", str(hyp_path),
+        )
+        assert code == 1
+        assert "invalid UTF-8 on line 2" in stderr
+
     def test_requires_exactly_one_input_mode(self, tmp_path, capsys):
         make_dataset(tmp_path)
         code, _, stderr = run(capsys, "eval", "--dataset", str(tmp_path))

@@ -1,9 +1,10 @@
 """Differential tests: the scoring kernel against the regex kernel it replaced.
 
 ``kernel_oracle`` keeps the one-regex-per-rule 13a tokenizer, the per-gram
-BLEU statistics, the ``(word, profile)``-keyed syllable count and the
-per-order SARI counters. Tokens, BLEU and SARI scores and text statistics
-must be exactly equal, not approximately.
+BLEU statistics, the ``(word, profile)``-keyed syllable count, the
+per-order SARI counters and the one-pass-per-metric ``evaluate``. Tokens,
+BLEU and SARI scores, text statistics and evaluation reports must be exactly
+equal, not approximately.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import kernel_oracle as oracle
 from synth import make_aligned_streams
 
 from sscorpus.ingest import read_eval_dataset
-from sscorpus.metrics import corpus_bleu, sari, sentence_bleu
+from sscorpus.metrics import corpus_bleu, corpus_fkgl, corpus_fres, evaluate, sari, sentence_bleu
 from sscorpus.textprep import PROFILES, metric_tokens, text_stats
 
 # Pieces the 13a rules treat specially, so generated text meets every rule
@@ -116,11 +117,14 @@ def test_text_stats_every_profile(text):
 
 
 # SARI lowercases, so the vocabulary mixes cases of the same words; digits
-# and punctuation meet the 13a rules.
+# and punctuation meet the 13a rules. Of the last five, the first three
+# tokenize differently when lowercased before rather than after the 13a
+# rules; "İ" lowercases to two code points and the Kelvin sign to "k".
 _MIXED_SENTENCE = st.lists(
     st.sampled_from(
         ["The", "the", "THE", "cat", "Cat", "sat", "on", "a", "A", "mat", "it",
-         ".", ",", "!", "?", "-", "1", "3.5", "10-20", "'s"]
+         ".", ",", "!", "?", "-", "1", "3.5", "10-20", "'s",
+         "ΑΣ:Β", "<SKIPPED>", "&QUOT;", "İ", "\u212a"]
     ),
     max_size=10,
 ).map(" ".join)
@@ -187,3 +191,57 @@ def test_sari_and_corpus_bleu_on_fixture(metric_fixture):
     references = [item["references"] for item in metric_fixture]
     _assert_sari_equal(sources, hypotheses, references)
     assert corpus_bleu(hypotheses, references) == oracle.corpus_bleu(hypotheses, references)
+
+
+def _outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@given(st.lists(TEXT, max_size=6), st.sampled_from(sorted(PROFILES)))
+@settings(max_examples=300)
+def test_corpus_readability(texts, lang):
+    profile = PROFILES[lang]
+    assert _outcome(corpus_fkgl, texts) == _outcome(oracle.corpus_fkgl, texts)
+    assert _outcome(corpus_fres, texts, profile) == _outcome(oracle.corpus_fres, texts, profile)
+
+
+@given(st.lists(_sari_item(), min_size=1, max_size=6), st.sampled_from(sorted(PROFILES)))
+@settings(max_examples=300)
+def test_evaluate(items, lang):
+    sources, hypotheses, references = (list(column) for column in zip(*items))
+    args = (sources, hypotheses, references, PROFILES[lang])
+    assert _outcome(evaluate, *args) == _outcome(oracle.evaluate, *args)
+
+
+def test_evaluate_input_errors():
+    profile = PROFILES["en"]
+    for args in [
+        ([], [], []),
+        (["a"], ["a", "b"], [["a"]]),
+        (["a", "b"], ["a", "b"], [["a"], []]),
+        ([""], [""], [["a"]]),  # no words for either readability score
+        (["."], ["."], [["a"]]),  # a grade-level word, but no reading-ease word
+    ]:
+        assert _outcome(evaluate, *args, profile) == _outcome(oracle.evaluate, *args, profile)
+
+
+@pytest.mark.parametrize("name", ["turkcorpus", "asset"])
+def test_evaluate_on_shipped_eval_sets(name):
+    sources, references = read_eval_dataset(_EVAL_DATA / name)
+    first_references = [refs[0] for refs in references]
+    for hypotheses in (sources, first_references):
+        report = evaluate(sources, hypotheses, references, PROFILES["en"])
+        assert report == oracle.evaluate(sources, hypotheses, references, PROFILES["en"])
+
+
+def test_evaluate_on_fixture(metric_fixture):
+    sources = [item["source"] for item in metric_fixture]
+    hypotheses = [item["hypothesis"] for item in metric_fixture]
+    references = [item["references"] for item in metric_fixture]
+    for profile in PROFILES.values():
+        report = evaluate(sources, hypotheses, references, profile)
+        assert report == oracle.evaluate(sources, hypotheses, references, profile)

@@ -1,9 +1,13 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sscorpus import metrics
+from sscorpus.ingest import read_eval_dataset
 from sscorpus.metrics import (
     EvalReport,
     corpus_bleu,
@@ -261,3 +265,80 @@ class TestEvaluate:
         assert isinstance(report, EvalReport)
         with pytest.raises(AttributeError):
             report.bleu = 0.0
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """Every text the metrics module passes to ``metric_tokens``, with its number of calls."""
+    calls: Counter = Counter()
+    original = metrics.metric_tokens
+
+    def counted(text):
+        calls[text] += 1
+        return original(text)
+
+    monkeypatch.setattr(metrics, "metric_tokens", counted)
+    return calls
+
+
+# Hypotheses equal to their source or to a reference, references equal to
+# the source or to each other, and strings that differ only in case.
+_REPEATS = [
+    ("The cat sat.", "The cat sat.", ["the cat sat .", "The cat sat.", "the cat sat .", "A cat."]),
+    ("A dog ran far.", "A dog ran.", ["A dog ran.", "a dog ran.", "A dog ran."]),
+    ("ΑΣ:Β", "ΑΣ:Β", ["ασ:β"]),
+    ("", "", [""]),
+]
+_EVAL_DATA = Path(__file__).resolve().parent.parent / "data" / "eval"
+
+
+def _lowered_texts(items) -> Counter:
+    """One lowercased text per distinct string of each item."""
+    return Counter(
+        text.lower()
+        for source, hypothesis, refs in items
+        for text in {source, hypothesis, *refs}
+    )
+
+
+def _cased_texts(items) -> Counter:
+    """One cased text per distinct hypothesis or reference string of each item."""
+    return Counter(text for _, hypothesis, refs in items for text in {hypothesis, *refs})
+
+
+def _item_sets(metric_fixture):
+    fixture = [(i["source"], i["hypothesis"], i["references"]) for i in metric_fixture]
+    sources, references = read_eval_dataset(_EVAL_DATA / "turkcorpus")
+    turk = list(zip(sources, sources, references))
+    return {"repeats": _REPEATS, "fixture": fixture, "turkcorpus": turk}
+
+
+class TestOneTokenizationPerCasing:
+    def test_evaluate_tokenizes_each_distinct_string_once_per_casing(
+        self, tokenized, metric_fixture
+    ):
+        for name, items in _item_sets(metric_fixture).items():
+            tokenized.clear()
+            sources, hypotheses, references = (list(column) for column in zip(*items))
+            evaluate(sources, hypotheses, references, EN)
+            assert tokenized == _lowered_texts(items) + _cased_texts(items), name
+
+    def test_sari_tokenizes_each_distinct_string_once(self, tokenized, metric_fixture):
+        for name, items in _item_sets(metric_fixture).items():
+            tokenized.clear()
+            sari(*(list(column) for column in zip(*items)))
+            assert tokenized == _lowered_texts(items), name
+
+    def test_reading_ease_counts_each_hypothesis_once(self, monkeypatch):
+        hypotheses = [hypothesis for _, hypothesis, _ in _REPEATS]
+        seen = []
+        original = metrics.text_stats
+
+        def counted(text, profile):
+            seen.append(text)
+            return original(text, profile)
+
+        monkeypatch.setattr(metrics, "text_stats", counted)
+        sources, _, references = (list(column) for column in zip(*_REPEATS))
+        evaluate(sources, hypotheses, references, EN)
+        assert seen == hypotheses

@@ -46,6 +46,22 @@ class TestMetricTokenizer:
         text = 'He said: "don\'t go"… but they went; 100-200 people followed.'
         assert metric_tokens(text) == metric_tokens(text)
 
+    @pytest.mark.parametrize(
+        "text, tokens_of_lowered, lowered_tokens",
+        [
+            ("<SKIPPED>", [], ["<", "skipped", ">"]),
+            ("&QUOT;", ['"'], ["&", "quot", ";"]),
+            # Greek capital sigma lowercases to final sigma only at the end of a word.
+            ("ΑΣ:Β", ["ασ", ":", "β"], ["ας", ":", "β"]),
+        ],
+    )
+    def test_lowercasing_does_not_commute_with_tokenizing(
+        self, text, tokens_of_lowered, lowered_tokens
+    ):
+        # Why SARI and FKGL tokenize lowercased text instead of lowercasing BLEU's tokens.
+        assert metric_tokens(text.lower()) == tokens_of_lowered
+        assert [token.lower() for token in metric_tokens(text)] == lowered_tokens
+
 
 class TestWordTokenizer:
     def test_scheme_tag(self):
