@@ -7,25 +7,27 @@ the de facto standard tool behavior: lowercased 13a tokens,
 reference-count weighting, F1 for keep/add and precision for delete,
 averaged over n-gram orders 1..4 and then over the three operations.
 
-BLEU and SARI share one n-gram kernel: a single ``Counter`` over the
-n-grams of every order of a sentence, each keyed by its token tuple (for
-SARI's references, one pooled counter over all of them). Within one order a
-counter lists its n-grams in first-occurrence order, and SARI's per-order
-float sums add their terms in that order. ``evaluate`` walks the items once and
-tokenizes each distinct string of an item once per casing; lowercased tokens are
-not derived from cased ones, as the 13a rules do not commute with lowercasing
-(``<SKIPPED>``, ``&QUOT;`` and ``ΑΣ:Β`` differ).
+BLEU and SARI share one n-gram kernel: a plain dict counting the n-grams of
+every order of a sentence, each keyed by its token tuple, one order at a time
+through ``Counter.update``'s C helper (SARI's references count into one pooled
+dict, one after another). Within one order a dict lists its n-grams in
+first-occurrence order, and SARI's per-order float sums add their terms in that
+order. A BLEU hypothesis whose tokens equal a reference's builds no counter:
+that reference clips none of its n-grams and is the closest length.
+``evaluate`` walks the items once and tokenizes each distinct string of an
+item once per casing; lowercased tokens are not derived from cased ones, as
+the 13a rules do not commute with lowercasing (``<SKIPPED>``, ``&QUOT;`` and
+``ΑΣ:Β`` differ).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .textprep import LanguageProfile, metric_tokens, split_sentences, text_stats
 
@@ -190,20 +192,18 @@ def corpus_fres(texts: Sequence[str], profile: LanguageProfile) -> float:
 # --- BLEU ---
 
 
-def _all_order_grams(tokens: Sequence[str], max_order: int) -> Iterator[tuple[str, ...]]:
-    """Every n-gram of orders 1..max_order as a token tuple, order by order.
-
-    Within one order the n-grams come in text order, so a counter built from
-    them lists each order's n-grams in first-occurrence order.
-    """
-    return chain.from_iterable(
-        zip(*[tokens[i:] for i in range(n)]) for n in range(1, max_order + 1)
-    )
+def _check_max_order(max_order: int) -> None:
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
 
 
-def _ngram_counts(tokens: Sequence[str], max_order: int) -> Counter:
-    """Counts of every n-gram of orders 1..max_order, each keyed by its token tuple."""
-    return Counter(_all_order_grams(tokens, max_order))
+def _ngram_counts(tokens: Sequence[str], max_order: int, counts: dict | None = None) -> dict:
+    """Counts of every n-gram of orders 1..max_order, order by order, added into ``counts``."""
+    counts = {} if counts is None else counts
+    shifted = [tokens[i:] for i in range(max_order)]
+    for n in range(1, max_order + 1):
+        _count_elements(counts, zip(*shifted[:n]))
+    return counts
 
 
 def _accumulate_bleu_stats(
@@ -213,6 +213,15 @@ def _accumulate_bleu_stats(
     total: list[int],
     max_order: int,
 ) -> tuple[int, int]:
+    hyp_len = len(hyp_tokens)
+    orders = range(1, min(max_order, hyp_len) + 1)
+    for n in orders:
+        total[n - 1] += hyp_len - n + 1
+    if hyp_tokens in refs_tokens:
+        # That reference clips no n-gram and is the closest length: no counter needed.
+        for n in orders:
+            correct[n - 1] += hyp_len - n + 1
+        return hyp_len, hyp_len
     # Modified precision: each hypothesis n-gram is clipped to its largest
     # count in any one reference.
     ref_counts = _ngram_counts(refs_tokens[0], max_order)
@@ -225,9 +234,6 @@ def _accumulate_bleu_stats(
         ref_count = in_ref(gram)
         if ref_count:
             correct[len(gram) - 1] += count if count < ref_count else ref_count
-    hyp_len = len(hyp_tokens)
-    for n in range(1, min(max_order, hyp_len) + 1):
-        total[n - 1] += hyp_len - n + 1
     # The closest reference length; ties go to the shorter reference.
     closest_len = min((abs(hyp_len - len(ref)), len(ref)) for ref in refs_tokens)[1]
     return hyp_len, closest_len
@@ -297,6 +303,7 @@ def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = M
     Uses exponential smoothing for zero counts and the effective n-gram
     order for short sentences. An empty hypothesis scores 0.0.
     """
+    _check_max_order(max_order)
     if not references:
         raise ValueError("at least one reference is required")
     item = (metric_tokens(hypothesis), [metric_tokens(r) for r in references])
@@ -309,6 +316,7 @@ def corpus_bleu(
     max_order: int = MAX_NGRAM_ORDER,
 ) -> float:
     """Corpus BLEU in [0, 100]: n-gram statistics pooled before combining."""
+    _check_max_order(max_order)
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}"
@@ -346,9 +354,9 @@ def _sari_item(
     source_counts = _ngram_counts(lowered[source], max_order)
     hyp_tokens = lowered[hypothesis]
     hyp_counts = source_counts if hypothesis == source else _ngram_counts(hyp_tokens, max_order)
-    ref_counts = Counter(
-        chain.from_iterable(_all_order_grams(lowered[ref], max_order) for ref in references)
-    )
+    ref_counts: dict = {}
+    for ref in references:
+        _ngram_counts(lowered[ref], max_order, ref_counts)
     in_hyp = hyp_counts.get
     in_refs = ref_counts.get
 
@@ -418,6 +426,7 @@ def _sari_walk(
     visit: Callable[[str, Sequence[str], list[str]], None],
 ) -> SariBreakdown:
     """Corpus SARI in one checked walk; ``visit`` sees each hypothesis, refs and lowered tokens."""
+    _check_max_order(max_order)
     if not (len(sources) == len(hypotheses) == len(references)):
         raise ValueError(
             "aligned sources/hypotheses/references required, got lengths "

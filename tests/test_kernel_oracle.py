@@ -13,14 +13,22 @@ from dataclasses import astuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
 from synth import make_aligned_streams
 
 from sscorpus.ingest import read_eval_dataset
-from sscorpus.metrics import corpus_bleu, corpus_fkgl, corpus_fres, evaluate, sari, sentence_bleu
+from sscorpus.metrics import (
+    _ngram_counts,
+    corpus_bleu,
+    corpus_fkgl,
+    corpus_fres,
+    evaluate,
+    sari,
+    sentence_bleu,
+)
 from sscorpus.textprep import PROFILES, metric_tokens, text_stats
 
 # Pieces the 13a rules treat specially, so generated text meets every rule
@@ -49,10 +57,8 @@ TEXT = st.lists(_PIECE, max_size=40).map("".join)
 
 # Sentences over a small vocabulary, so hypotheses and references share
 # n-grams of every order.
-_SENTENCE = st.lists(
-    st.sampled_from(["the", "cat", "sat", "on", "a", "mat", ".", ",", "1", "-", "it"]),
-    max_size=12,
-).map(" ".join)
+_WORD = st.sampled_from(["the", "cat", "sat", "on", "a", "mat", ".", ",", "1", "-", "it"])
+_SENTENCE = st.lists(_WORD, max_size=12).map(" ".join)
 _REFERENCES = st.lists(_SENTENCE, min_size=1, max_size=5)
 
 
@@ -107,6 +113,67 @@ def test_corpus_bleu(items):
     hypotheses = [hypothesis for hypothesis, _ in items]
     references = [refs for _, refs in items]
     assert corpus_bleu(hypotheses, references) == oracle.corpus_bleu(hypotheses, references)
+
+
+@given(st.lists(_WORD, max_size=16), st.integers(1, 5))
+@settings(max_examples=500)
+def test_ngram_counts_keys_counts_and_order(tokens, max_order):
+    got = list(_ngram_counts(tokens, max_order).items())
+    assert got == list(oracle._ngram_counts(tokens, max_order).items())
+
+
+@st.composite
+def _self_referenced(draw):
+    """(hypothesis, references) with the hypothesis drawn from its own references."""
+    references = draw(_REFERENCES)
+    return draw(st.sampled_from(references)), references
+
+
+def _assert_bleu_equal(hypothesis, references, max_order):
+    got = sentence_bleu(hypothesis, references, max_order)
+    assert got == oracle.sentence_bleu(hypothesis, references, max_order)
+    got = corpus_bleu([hypothesis], [references], max_order)
+    assert got == oracle.corpus_bleu([hypothesis], [references], max_order)
+
+
+@given(_self_referenced(), st.integers(1, 5))
+@settings(max_examples=500)
+def test_bleu_hypothesis_among_its_references(item, max_order):
+    _assert_bleu_equal(*item, max_order)
+
+
+@given(st.lists(_self_referenced(), max_size=8), st.integers(1, 5))
+@settings(max_examples=300)
+def test_corpus_bleu_hypotheses_among_their_references(items, max_order):
+    hypotheses = [hypothesis for hypothesis, _ in items]
+    references = [refs for _, refs in items]
+    got = corpus_bleu(hypotheses, references, max_order)
+    assert got == oracle.corpus_bleu(hypotheses, references, max_order)
+
+
+@st.composite
+def _respaced_reference(draw):
+    """(hypothesis, references): one reference has the hypothesis's tokens, spaced differently."""
+    words = draw(st.lists(_WORD, min_size=1, max_size=12))
+    respaced = "".join(word + draw(st.sampled_from([" ", "  ", "\t", " \n "])) for word in words)
+    hypothesis = " ".join(words)
+    others = draw(st.lists(_SENTENCE.filter(lambda text: text != hypothesis), max_size=3))
+    return hypothesis, draw(st.permutations([respaced, *others]))
+
+
+@given(_respaced_reference(), st.integers(1, 5))
+@example(("the cat .", ["the  cat ."]), 4)
+@settings(max_examples=500)
+def test_bleu_reference_with_equal_tokens_and_other_text(item, max_order):
+    hypothesis, references = item
+    assert hypothesis not in references
+    assert metric_tokens(hypothesis) in [metric_tokens(ref) for ref in references]
+    _assert_bleu_equal(hypothesis, references, max_order)
+
+
+@pytest.mark.parametrize("max_order", range(1, 6))
+def test_bleu_empty_hypothesis_and_reference(max_order):
+    _assert_bleu_equal("", [""], max_order)
 
 
 @given(TEXT)

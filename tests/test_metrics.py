@@ -126,6 +126,11 @@ class TestSentenceBleu:
         with pytest.raises(ValueError, match="reference"):
             sentence_bleu("hello", [])
 
+    @pytest.mark.parametrize("max_order", [0, -1])
+    def test_max_order_below_one_is_an_error(self, max_order):
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            sentence_bleu("the cat", ["the cat"], max_order=max_order)
+
     def test_long_disjoint_sentences_score_near_zero(self):
         hyp = " ".join(f"alpha{i}" for i in range(25))
         ref = " ".join(f"omega{i}" for i in range(25))
@@ -170,6 +175,11 @@ class TestCorpusBleu:
     def test_empty_reference_set_is_an_error(self):
         with pytest.raises(ValueError, match="reference"):
             corpus_bleu(["a"], [[]])
+
+    @pytest.mark.parametrize("max_order", [0, -1])
+    def test_max_order_below_one_is_an_error(self, max_order):
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            corpus_bleu(["the cat"], [["the cat"]], max_order=max_order)
 
     def test_matches_reference_scorer(self, metric_fixture, metric_expected):
         hyps = [it["hypothesis"] for it in metric_fixture]
@@ -232,6 +242,11 @@ class TestSari:
     def test_empty_reference_set_is_an_error(self):
         with pytest.raises(ValueError, match="reference"):
             sari(["a"], ["a"], [[]])
+
+    @pytest.mark.parametrize("max_order", [0, -1])
+    def test_max_order_below_one_is_an_error(self, max_order):
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            sari(["the cat sat"], ["the cat"], [["the cat"]], max_order=max_order)
 
     def test_lowercases_before_comparing(self):
         upper = sari(["The Cat"], ["THE CAT"], [["the cat"]])
@@ -342,3 +357,52 @@ class TestOneTokenizationPerCasing:
         sources, _, references = (list(column) for column in zip(*_REPEATS))
         evaluate(sources, hypotheses, references, EN)
         assert seen == hypotheses
+
+
+
+@pytest.fixture
+def bleu_counters(monkeypatch):
+    """The number of n-gram counters built within each BLEU statistics call, in call order."""
+    built: list[int] = []
+    in_bleu = False
+    count_ngrams, accumulate = metrics._ngram_counts, metrics._accumulate_bleu_stats
+
+    def counted(*args):
+        if in_bleu:
+            built[-1] += 1
+        return count_ngrams(*args)
+
+    def accumulating(*args):
+        nonlocal in_bleu
+        built.append(0)
+        in_bleu = True
+        try:
+            return accumulate(*args)
+        finally:
+            in_bleu = False
+
+    monkeypatch.setattr(metrics, "_ngram_counts", counted)
+    monkeypatch.setattr(metrics, "_accumulate_bleu_stats", accumulating)
+    return built
+
+
+class TestNoCounterForSelfReference:
+    """A BLEU hypothesis whose tokens equal a reference's is scored without n-gram counters."""
+
+    def test_reference_hypotheses_build_no_bleu_counter(self, bleu_counters):
+        sources, references = read_eval_dataset(_EVAL_DATA / "turkcorpus")
+        evaluate(sources, [refs[0] for refs in references], references, EN)
+        assert bleu_counters == [0] * len(sources)
+
+    def test_sources_among_their_references_build_no_bleu_counter(self, bleu_counters):
+        sources, references = read_eval_dataset(_EVAL_DATA / "turkcorpus")
+        evaluate(sources, sources, references, EN)
+        assert len(bleu_counters) == len(sources)
+        own = [i for i, (source, refs) in enumerate(zip(sources, references)) if source in refs]
+        assert len(own) == 249
+        assert [bleu_counters[i] for i in own] == [0] * len(own)
+        # The rest count their distinct references and the hypothesis, save 14 sources
+        # that differ from a reference in text but not in tokens.
+        full = [len(set(refs)) + 1 for refs in references]
+        assert sum(b == f for b, f in zip(bleu_counters, full)) == len(sources) - len(own) - 14
+        assert bleu_counters.count(0) == len(own) + 14
