@@ -14,11 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
-import shlex
-import subprocess
-import threading
-import time
 import unicodedata
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass
@@ -52,6 +47,8 @@ class TranslationSource:
     timeout: float = 300.0
 
     def __post_init__(self):
+        import shlex  # the translator's modules load only when one is configured
+
         if not shlex.split(self.command):
             raise ValueError("translator command is empty")
         if self.batch_size < 1:
@@ -104,6 +101,8 @@ def open_aligned(first: Path, *others: Path) -> tuple[Iterator[str], ...]:
 
 def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
     """Run the translator over ``lines``; one translation per input line, in order."""
+    import queue, shlex, subprocess, threading, time
+
     timeout = source.timeout
     args = shlex.split(source.command)
     proc = subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -120,18 +119,13 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
         out_queue.put(eof)
 
     def write_stdin():
-        try:
+        # An OSError means the child died, which the reader side reports, or
+        # that closing left lines unflushed to a dead child.
+        with suppress(OSError), proc.stdin:
             while (batch := in_queue.get()) is not None:
                 for line in batch:
                     proc.stdin.write((line + "\n").encode("utf-8"))
                 proc.stdin.flush()
-        except OSError:
-            pass  # child died; the reader side reports the failure
-        finally:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass  # unflushed lines to a dead child
 
     def finish(when: str, where: str = "") -> None:
         # The translator closed its stdout; it should exit right after, and cleanly.
@@ -201,10 +195,8 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
             raise RuntimeError("translator produced more output lines than input lines")
         finish("after the last batch")
     finally:
-        try:
+        with suppress(queue.Full):
             in_queue.put_nowait(None)  # unblock the writer thread on error paths
-        except queue.Full:
-            pass
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)

@@ -9,6 +9,11 @@ the per-profile syllable cache and the incremental stats accumulator
 replaced. ``sentence_bleu`` and ``corpus_bleu`` assemble them the way the
 metrics module used to, so the differential tests can compare exact values.
 
+``split_sentences`` is copied unchanged from the implementation that the
+one-match-per-sentence count and its digit-free fast path replaced: a
+decimal-point mask, a split on terminal punctuation and a count of the
+non-blank segments.
+
 The SARI section is copied unchanged from the implementation that the
 all-orders n-gram counter replaced: four per-order ``Counter``s per side
 combined with ``&``, ``-`` and set operations.
@@ -37,7 +42,7 @@ from sscorpus.metrics import (
     _fres_formula,
 )
 from sscorpus.pipeline import CorpusStats
-from sscorpus.textprep import LanguageProfile, TextStats, split_sentences
+from sscorpus.textprep import LanguageProfile, TextStats
 
 MAX_NGRAM_ORDER = 4
 
@@ -75,6 +80,23 @@ def metric_tokens(text: str) -> list[str]:
 
 _WORD_RE = re.compile(r"[^\W_]+(?:['’\-][^\W_]+)*", re.UNICODE)
 _WORD_PART_SPLIT = re.compile(r"['’\-]")
+
+# Terminal punctuation ends a sentence; a period between two digits is a
+# decimal point, not a boundary.
+_DECIMAL_DOT = re.compile(r"(?<=[0-9])\.(?=[0-9])")
+_SENT_BOUNDARY = re.compile(r"[.!?…]+")
+
+
+def split_sentences(text: str) -> int:
+    """Number of sentences under terminal-punctuation splitting.
+
+    Trailing text without terminal punctuation counts as one sentence;
+    blank input counts zero.
+    """
+    if not text or not text.strip():
+        return 0
+    masked = _DECIMAL_DOT.sub("\x00", text)
+    return sum(1 for seg in _SENT_BOUNDARY.split(masked) if seg.strip())
 
 
 @lru_cache(maxsize=None)

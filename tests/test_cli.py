@@ -322,11 +322,13 @@ def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):
 
 
 def test_import_loads_neither_multiprocessing_nor_hashlib():
-    # A one-worker run pays for neither: the pool and the dedup digest import them late.
+    # A one-worker run pays for neither: the pool and the dedup digest import them late,
+    # and a run without a translator pays for none of the bridge's process and queue modules.
     src = str(Path(sscorpus.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    script = "import sys, sscorpus.cli; print({'multiprocessing', 'hashlib'} & set(sys.modules))"
+    late = "{'multiprocessing', 'hashlib', 'subprocess', 'queue', 'shlex'}"
+    script = f"import sys, sscorpus.cli; print({late} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )

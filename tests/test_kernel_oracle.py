@@ -29,7 +29,7 @@ from sscorpus.metrics import (
     sari,
     sentence_bleu,
 )
-from sscorpus.textprep import PROFILES, metric_tokens, text_stats
+from sscorpus.textprep import PROFILES, metric_tokens, split_sentences, text_stats
 
 # Pieces the 13a rules treat specially, so generated text meets every rule
 # and the boundaries between them.
@@ -55,6 +55,19 @@ _PIECE = st.one_of(
 )
 TEXT = st.lists(_PIECE, max_size=40).map("".join)
 
+# Text without an ASCII digit, on which the 13a period/comma rules and the
+# sentence count take their fast paths. ``TEXT`` draws such text too, but
+# rarely long; these pieces meet every rule that can still fire.
+_DIGITS = "0123456789"
+_UNICODE_SPACES = [chr(code) for code in range(0x3001) if chr(code).isspace()]
+_DIGIT_FREE_PIECE = st.one_of(
+    st.sampled_from([piece for piece in _SPECIAL + _WORDS if not set(piece) & set(_DIGITS)]),
+    _ASCII_PUNCT,
+    st.sampled_from(_UNICODE_SPACES + ["…", "\x00", "..", ",,", ".,", "?!", "&amp;quot;"]),
+    st.characters(exclude_characters=_DIGITS),
+)
+DIGIT_FREE_TEXT = st.lists(_DIGIT_FREE_PIECE, min_size=5, max_size=60).map("".join)
+
 # Sentences over a small vocabulary, so hypotheses and references share
 # n-grams of every order.
 _WORD = st.sampled_from(["the", "cat", "sat", "on", "a", "mat", ".", ",", "1", "-", "it"])
@@ -72,6 +85,19 @@ def test_metric_tokens_match_regex_tokenizer(text):
 @settings(max_examples=500)
 def test_metric_tokens_match_on_any_text(text):
     assert metric_tokens(text) == oracle.metric_tokens(text)
+
+
+@given(DIGIT_FREE_TEXT)
+@settings(max_examples=1500)
+def test_metric_tokens_match_on_digit_free_text(text):
+    assert not set(text) & set(_DIGITS)
+    assert metric_tokens(text) == oracle.metric_tokens(text)
+
+
+@given(st.one_of(TEXT, DIGIT_FREE_TEXT))
+@settings(max_examples=1500)
+def test_split_sentences_match_segment_count(text):
+    assert split_sentences(text) == oracle.split_sentences(text)
 
 
 def test_metric_tokens_match_on_synthetic_corpus():
@@ -179,6 +205,13 @@ def test_bleu_empty_hypothesis_and_reference(max_order):
 @given(TEXT)
 @settings(max_examples=500)
 def test_text_stats_every_profile(text):
+    for profile in PROFILES.values():
+        assert text_stats(text, profile) == oracle.text_stats(text, profile), profile.lang_code
+
+
+@given(DIGIT_FREE_TEXT)
+@settings(max_examples=500)
+def test_text_stats_every_profile_on_digit_free_text(text):
     for profile in PROFILES.values():
         assert text_stats(text, profile) == oracle.text_stats(text, profile), profile.lang_code
 

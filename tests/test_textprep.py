@@ -42,6 +42,13 @@ class TestMetricTokenizer:
         tokens = metric_tokens(text)
         assert metric_tokens(" ".join(tokens)) == tokens
 
+    @pytest.mark.parametrize("digit", "0123456789")
+    def test_every_digit_takes_the_digit_aware_rules(self, digit):
+        # Text without a digit pads every period and comma; one digit anywhere changes that.
+        text = f"{digit}.{digit},{digit}-x, y.z"
+        assert metric_tokens(text) == [f"{digit}.{digit},{digit}", "-", "x", ",", "y", ".", "z"]
+        assert split_sentences(text) == 2
+
     def test_deterministic(self):
         text = 'He said: "don\'t go"… but they went; 100-200 people followed.'
         assert metric_tokens(text) == metric_tokens(text)
@@ -105,6 +112,12 @@ class TestSentenceSplitting:
     )
     def test_counts(self, text, expected):
         assert split_sentences(text) == expected
+
+    def test_linear_on_long_lines(self):
+        # A count that rescanned a blank run from each of its characters would
+        # take hours on these; a linear one takes milliseconds.
+        assert split_sentences(" " * 1_000_000 + ".") == 0
+        assert split_sentences("word " * 200_000) == 1
 
 
 class TestSyllables:
