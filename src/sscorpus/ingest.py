@@ -351,11 +351,13 @@ def read_meta(prefix: Path | str) -> tuple[str, SelectorConfig, Optional[DropTal
         meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
         if not isinstance(meta, dict):
             raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
+        lang = meta.get("lang", "en")
+        get_profile(lang)
         config = SelectorConfig(**meta.get("config", {}))
         tally = DropTally(**meta["drop_tally"]) if meta.get("drop_tally") else None
-    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, or unknown keys
+    except (TypeError, ValueError) as exc:  # not UTF-8, not JSON, unknown keys or language
         raise ValueError(f"{meta_path}: {exc}") from None
-    return meta.get("lang", "en"), config, tally
+    return lang, config, tally
 
 
 def count_pairs(prefix: Path | str, format: str = "plain") -> int:
@@ -416,11 +418,13 @@ def read_eval_dataset(directory: Path | str) -> tuple[list[str], list[list[str]]
 
     # Matched by prefix, not by a glob pattern: the name may hold glob characters.
     prefix = f"{name}.ref."
-    ref_paths = {}
-    for path in directory.iterdir():
+    ref_paths: dict[int, Path] = {}
+    for path in sorted(directory.iterdir()):
         suffix = path.name[len(prefix) :]
-        if path.name.startswith(prefix) and suffix.isdigit():
-            ref_paths[int(suffix)] = path
+        if path.name.startswith(prefix) and suffix.isascii() and suffix.isdigit():
+            first = ref_paths.setdefault(int(suffix), path)
+            if first != path:
+                raise ValueError(f"{directory}: {first.name} and {path.name} are the same reference")
     if not ref_paths:
         raise ValueError(f"{directory}: no {name}.ref.<i> files found")
     ordered = [ref_paths.get(i) for i in range(max(ref_paths) + 1)]

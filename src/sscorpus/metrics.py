@@ -13,11 +13,11 @@ through ``Counter.update``'s C helper (SARI's references count into one pooled
 dict, one after another). Within one order a dict lists its n-grams in
 first-occurrence order, and SARI's per-order float sums add their terms in that
 order. A BLEU hypothesis whose tokens equal a reference's builds no counter:
-that reference clips none of its n-grams and is the closest length.
-``evaluate`` walks the items once and tokenizes each distinct string of an
-item once per casing; lowercased tokens are not derived from cased ones, as
-the 13a rules do not commute with lowercasing (``<SKIPPED>``, ``&QUOT;`` and
-``ΑΣ:Β`` differ).
+that reference clips none of its n-grams and is the closest length. BLEU and
+SARI tokenize each distinct string of an item once, BLEU leaves out repeated
+references, and ``evaluate`` calls the four corpus metrics. Lowercased tokens
+are not derived from cased ones: the 13a rules do not commute with lowercasing
+(``<SKIPPED>``, ``&QUOT;`` and ``ΑΣ:Β`` differ).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import re
 from collections import Counter, _count_elements
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .textprep import LanguageProfile, metric_tokens, split_sentences, text_stats
 
@@ -297,6 +297,17 @@ def _token_bleu(
     return _bleu_score(correct, total, sys_len, ref_len, max_order, effective_order)
 
 
+def _bleu_item(hypothesis: str, references: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+    """Cased tokens of a hypothesis and of its distinct references, each string tokenized once.
+
+    Leaving out a repeated reference is exact: clipping takes an n-gram's largest
+    count over the references, and the closest length is a minimum.
+    """
+    distinct = dict.fromkeys(references)
+    tokens = {text: metric_tokens(text) for text in {hypothesis, *distinct}}
+    return tokens[hypothesis], [tokens[ref] for ref in distinct]
+
+
 def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = MAX_NGRAM_ORDER) -> float:
     """Sentence-level BLEU in [0, 100], case-sensitive 13a tokens.
 
@@ -306,8 +317,7 @@ def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = M
     _check_max_order(max_order)
     if not references:
         raise ValueError("at least one reference is required")
-    item = (metric_tokens(hypothesis), [metric_tokens(r) for r in references])
-    return _token_bleu([item], max_order, effective_order=True)
+    return _token_bleu([_bleu_item(hypothesis, references)], max_order, effective_order=True)
 
 
 def corpus_bleu(
@@ -323,10 +333,7 @@ def corpus_bleu(
         )
     if not all(references):
         raise ValueError("every hypothesis needs at least one reference")
-    items = (
-        (metric_tokens(hypothesis), [metric_tokens(r) for r in refs])
-        for hypothesis, refs in zip(hypotheses, references)
-    )
+    items = (_bleu_item(hypothesis, refs) for hypothesis, refs in zip(hypotheses, references))
     return _token_bleu(items, max_order, effective_order=False)
 
 
@@ -341,8 +348,8 @@ def _f1(precision: float, recall: float) -> float:
 
 def _sari_item(
     source: str, hypothesis: str, references: Sequence[str], max_order: int
-) -> tuple[float, float, float, list[str]]:
-    """Mean (keep, delete, add) over n-gram orders 1..max_order, and lowercased hypothesis tokens.
+) -> tuple[float, float, float]:
+    """Mean (keep, delete, add) over n-gram orders 1..max_order.
 
     A hypothesis equal to its source shares the source's n-gram counts. Source and
     hypothesis counts are scaled by the number of references so they are comparable
@@ -415,17 +422,16 @@ def _sari_item(
             n_added_good[n] / n_added[n] if n_added[n] else 0.0,
             n_added_good[n] / n_addable if n_addable else 0.0,
         )
-    return keep_total / max_order, delete_total / max_order, add_total / max_order, hyp_tokens
+    return keep_total / max_order, delete_total / max_order, add_total / max_order
 
 
-def _sari_walk(
+def sari(
     sources: Sequence[str],
     hypotheses: Sequence[str],
     references: Sequence[Sequence[str]],
-    max_order: int,
-    visit: Callable[[str, Sequence[str], list[str]], None],
+    max_order: int = MAX_NGRAM_ORDER,
 ) -> SariBreakdown:
-    """Corpus SARI in one checked walk; ``visit`` sees each hypothesis, refs and lowered tokens."""
+    """Corpus SARI: per-sentence keep/add/delete averaged over the corpus."""
     _check_max_order(max_order)
     if not (len(sources) == len(hypotheses) == len(references)):
         raise ValueError(
@@ -438,11 +444,10 @@ def _sari_walk(
         raise ValueError("every hypothesis needs at least one reference")
     keep_sum = delete_sum = add_sum = 0.0
     for source, hypothesis, refs in zip(sources, hypotheses, references):
-        keep, delete, add, hyp_tokens = _sari_item(source, hypothesis, refs, max_order)
+        keep, delete, add = _sari_item(source, hypothesis, refs, max_order)
         keep_sum += keep
         delete_sum += delete
         add_sum += add
-        visit(hypothesis, refs, hyp_tokens)
     n = len(hypotheses)
     f_keep = 100.0 * keep_sum / n
     f_delete = 100.0 * delete_sum / n
@@ -456,44 +461,17 @@ def _sari_walk(
     )
 
 
-def sari(
-    sources: Sequence[str],
-    hypotheses: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_order: int = MAX_NGRAM_ORDER,
-) -> SariBreakdown:
-    """Corpus SARI: per-sentence keep/add/delete averaged over the corpus."""
-    return _sari_walk(sources, hypotheses, references, max_order, lambda *item: None)
-
-
 def evaluate(
     sources: Sequence[str],
     hypotheses: Sequence[str],
     references: Sequence[Sequence[str]],
     profile: LanguageProfile,
 ) -> EvalReport:
-    """Score aligned (source, hypothesis, reference-set) triples in one walk over the items.
-
-    FKGL (English formula) takes SARI's lowercased hypothesis tokens; it and reading ease
-    (``profile``) pool over the items. BLEU skips repeated references, which change no count.
-    """
-    order = MAX_NGRAM_ORDER
-    correct, total, lengths = [0] * order, [0] * order, [0, 0]
-    fkgl_totals, fres_totals = [0, 0, 0], [0, 0, 0]
-
-    def visit(hypothesis: str, refs: Sequence[str], lowered: list[str]) -> None:
-        cased = {text: metric_tokens(text) for text in {hypothesis, *refs}}
-        hyp_tokens, refs_tokens = cased[hypothesis], [cased[ref] for ref in set(refs)]
-        sys_len, ref_len = _accumulate_bleu_stats(hyp_tokens, refs_tokens, correct, total, order)
-        lengths[0] += sys_len
-        lengths[1] += ref_len
-        _pool(fkgl_totals, _fkgl_counts(lowered))
-        _pool(fres_totals, text_stats(hypothesis, profile))
-
+    """SARI, FKGL, reading ease (``profile``) and corpus BLEU of aligned triples; SARI checks them."""
     return EvalReport(
-        sari=_sari_walk(sources, hypotheses, references, order, visit),
-        fkgl=_fkgl_formula(*fkgl_totals),
-        fres=_fres_formula(profile, *fres_totals),
-        bleu=_bleu_score(correct, total, *lengths, order, effective_order=False),
+        sari=sari(sources, hypotheses, references),
+        fkgl=corpus_fkgl(hypotheses),
+        fres=corpus_fres(hypotheses, profile),
+        bleu=corpus_bleu(hypotheses, references),
         n_items=len(hypotheses),
     )

@@ -303,6 +303,8 @@ class TestStats:
         ([1, 2], "expected a JSON object, got list"),
         (b'{"lang": "en",}', "Expecting property name enclosed in double quotes"),
         (b'{"lang": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        ({"lang": ["en"]}, "unhashable type: 'list'"),
+        ({"lang": "xx"}, "unknown language profile 'xx'"),
     ],
 )
 def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):

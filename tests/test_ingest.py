@@ -437,6 +437,26 @@ class TestEvalDataset:
         with pytest.raises(ValueError, match=r"5 lines in .*dev\.src vs 6 lines in .*dev\.ref\.0"):
             read_eval_dataset(directory)
 
+    @pytest.mark.parametrize("padded", ["dev.ref.01", "dev.ref.001"])
+    def test_two_files_with_one_index_is_an_error(self, tmp_path, padded):
+        directory = self.make_dataset(tmp_path)
+        write(tmp_path / padded, ["x"] * 5)
+        with pytest.raises(ValueError, match=rf"{padded} and dev\.ref\.1 are the same reference"):
+            read_eval_dataset(directory)
+
+    @pytest.mark.parametrize("suffix", ["\u00b2", "\u0661", "\uff11"])
+    def test_only_ascii_digit_suffixes_are_references(self, tmp_path, suffix):
+        directory = self.make_dataset(tmp_path)
+        write(tmp_path / f"dev.ref.{suffix}", ["x"])
+        _, references = read_eval_dataset(directory)
+        assert references[0] == ["reference 0 for 0", "reference 1 for 0"]
+
+    def test_a_non_ascii_digit_suffix_alone_is_no_reference(self, tmp_path):
+        write(tmp_path / "dev.src", ["x"])
+        write(tmp_path / "dev.ref.\u0661", ["y"])
+        with pytest.raises(ValueError, match=r"no dev\.ref\.<i> files found"):
+            read_eval_dataset(tmp_path)
+
     def test_no_ref_files_is_an_error(self, tmp_path):
         write(tmp_path / "dev.src", ["x"])
         with pytest.raises(ValueError, match=r"no dev\.ref\.<i> files found"):

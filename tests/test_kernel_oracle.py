@@ -202,6 +202,29 @@ def test_bleu_empty_hypothesis_and_reference(max_order):
     _assert_bleu_equal("", [""], max_order)
 
 
+@st.composite
+def _repeated_references(draw):
+    """(hypothesis, references): a reference repeats, and the hypothesis may be one, twice."""
+    hypothesis, references = draw(_SENTENCE), draw(_REFERENCES)
+    repeated = [*references, draw(st.sampled_from(references))]
+    if draw(st.booleans()):
+        repeated += [hypothesis, hypothesis]
+    return hypothesis, draw(st.permutations(repeated))
+
+
+@given(st.lists(_repeated_references(), min_size=1, max_size=8), st.integers(1, 5))
+@example([("the cat", ["the cat", "a mat", "a mat", "the cat"]), ("a cat", ["a a", "a a"])], 4)
+@settings(max_examples=300)
+def test_bleu_leaves_out_repeated_references_exactly(items, max_order):
+    # The oracle tokenizes and counts every reference, repeats included.
+    for hypothesis, references in items:
+        _assert_bleu_equal(hypothesis, references, max_order)
+    hypotheses = [hypothesis for hypothesis, _ in items]
+    references = [refs for _, refs in items]
+    got = corpus_bleu(hypotheses, references, max_order)
+    assert got == oracle.corpus_bleu(hypotheses, references, max_order)
+
+
 @given(TEXT)
 @settings(max_examples=500)
 def test_text_stats_every_profile(text):

@@ -336,7 +336,27 @@ class TestOneTokenizationPerCasing:
             tokenized.clear()
             sources, hypotheses, references = (list(column) for column in zip(*items))
             evaluate(sources, hypotheses, references, EN)
-            assert tokenized == _lowered_texts(items) + _cased_texts(items), name
+            # SARI, then the grade level's own lowercased hypothesis, then BLEU.
+            grade_level = Counter(hypothesis.lower() for hypothesis in hypotheses)
+            assert tokenized == _lowered_texts(items) + grade_level + _cased_texts(items), name
+
+    def test_corpus_bleu_tokenizes_each_distinct_cased_string_once(
+        self, tokenized, metric_fixture
+    ):
+        for name, items in _item_sets(metric_fixture).items():
+            tokenized.clear()
+            corpus_bleu([hypothesis for _, hypothesis, _ in items], [refs for *_, refs in items])
+            assert tokenized == _cased_texts(items), name
+
+    def test_sentence_bleu_tokenizes_each_distinct_cased_string_once(
+        self, tokenized, metric_fixture
+    ):
+        for name, items in _item_sets(metric_fixture).items():
+            for item in items:
+                _, hypothesis, refs = item
+                tokenized.clear()
+                sentence_bleu(hypothesis, refs)
+                assert tokenized == _cased_texts([item]), (name, item)
 
     def test_sari_tokenizes_each_distinct_string_once(self, tokenized, metric_fixture):
         for name, items in _item_sets(metric_fixture).items():
