@@ -139,8 +139,7 @@ def _input_streams(args: argparse.Namespace) -> tuple[Iterable[str], Iterable[st
 
 
 def _run_info(args: argparse.Namespace, extra: Optional[dict] = None) -> dict:
-    skip = {"command", "func"}
-    info = {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
+    info = {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
     if extra:
         info.update(extra)
     return info
@@ -194,7 +193,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    lang, _, _ = ingest.read_meta(args.corpus)
+    lang, _, _ = ingest.read_meta(args.corpus, args.format)
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
     stats = pipeline.compute_corpus_stats(pairs, get_profile(lang))
     print(json.dumps(asdict(stats), indent=2))
@@ -221,7 +220,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def cmd_subset(args: argparse.Namespace) -> int:
-    lang, config, _ = ingest.read_meta(args.corpus)
+    lang, config, _ = ingest.read_meta(args.corpus, args.format)
     total = ingest.count_pairs(args.corpus, format=args.format)
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
     sampled = pipeline.sample(pairs, total, args.n, args.seed)

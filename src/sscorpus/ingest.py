@@ -344,13 +344,20 @@ def write_corpus(
     return writer.paths
 
 
-def read_meta(prefix: Path | str) -> tuple[str, SelectorConfig, Optional[DropTally]]:
-    """The language, selector config and drop tally in ``<prefix>.meta.json``, with defaults."""
+def read_meta(
+    prefix: Path | str, format: str = "plain"
+) -> tuple[str, SelectorConfig, Optional[DropTally]]:
+    """The language, selector config and drop tally in ``<prefix>.meta.json``, with defaults.
+
+    A corpus whose ``meta.json`` records a format other than ``format`` is an error.
+    """
     meta_path = Path(f"{prefix}.meta.json")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
         if not isinstance(meta, dict):
             raise ValueError(f"expected a JSON object, got {type(meta).__name__}")
+        if meta.get("format", format) != format:
+            raise ValueError(f"the corpus format is {meta['format']!r}, not {format!r}")
         lang = meta.get("lang", "en")
         get_profile(lang)
         config = SelectorConfig(**meta.get("config", {}))
@@ -393,7 +400,7 @@ def iter_corpus(prefix: Path | str, format: str = "plain") -> Iterator[LabeledPa
 
 def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorpus:
     """Read a corpus written by :func:`write_corpus`, all its pairs in memory."""
-    lang, config, tally = read_meta(prefix)
+    lang, config, tally = read_meta(prefix, format)
     pairs = list(iter_corpus(prefix, format))
     return SimplificationCorpus(
         pairs, lang, config, compute_corpus_stats(pairs, get_profile(lang)), tally

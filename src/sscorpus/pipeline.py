@@ -18,14 +18,15 @@ The decision depends on nothing but the pair and the configuration, so
 filtering is order-stable, idempotent, and safe to fan out across workers.
 
 One decide loop serves ``build`` and ``ablate``. It gives each side of a
-pair one record that computes the sentence's 13a tokens and its readability
-counts on first use and keeps them, then decides the pair once per
+pair one record that computes the sentence's 13a tokens, readability counts
+and scores on first use and keeps them, then decides the pair once per
 configuration from those records: ``build`` has one configuration, and
 ``ablate`` has its four variants, which score every pair fully so that each
-variant's kept pairs carry all three scores. BLEU, reading ease and the
-corpus statistics all read the records, so a sentence is tokenized and
-counted at most once per scheme, whatever the number of variants, and a
-build holds no token lists past the pair they belong to.
+variant's kept pairs carry all three scores. The records are the only place
+a pair's scores live, and BLEU, reading ease and the corpus statistics all
+read them, so a sentence is tokenized and counted at most once per scheme,
+whatever the number of variants, and a build holds no token lists past the
+pair they belong to.
 
 Each configuration hands its kept pairs, in input order, to a sink: a list,
 or a corpus writer that streams them to disk and keeps none in memory.
@@ -135,17 +136,25 @@ class SimplificationCorpus:
 
 
 class _Side:
-    """One sentence of a pair, with its 13a tokens and readability counts.
+    """One sentence of a pair, with its 13a tokens, readability counts and scores.
 
     Each is computed on first use and then kept, so every check, every
     variant and the corpus statistics share one computation per scheme.
+    ``fres`` holds the reading ease, and the translated side's ``bleu`` its
+    sentence BLEU against the source side; each is None until scored (and
+    ``fres`` stays None without countable words). Scores passed in are kept.
     """
 
-    __slots__ = ("text", "profile", "_tokens", "_stats")
+    __slots__ = ("text", "profile", "fres", "bleu", "_tokens", "_stats")
 
-    def __init__(self, text: str, profile: Optional[LanguageProfile]) -> None:
+    def __init__(
+        self, text: str, profile: Optional[LanguageProfile], fres: Optional[float] = None,
+        bleu: Optional[float] = None,
+    ) -> None:
         self.text = text
         self.profile = profile
+        self.fres = fres
+        self.bleu = bleu
         self._tokens: Optional[list[str]] = None
         self._stats: Optional[TextStats] = None
 
@@ -154,15 +163,19 @@ class _Side:
             self._tokens = metric_tokens(self.text)
         return self._tokens
 
-    def fres(self) -> Optional[float]:
+    def score_fres(self) -> Optional[float]:
         """Reading ease, or None when the sentence has no countable words."""
-        if self._stats is None:
+        if self.fres is None and self._stats is None:
             self._stats = text_stats(self.text, self.profile)
-        return _fres_formula(self.profile, *self._stats) if self._stats.n_words else None
+            if self._stats.n_words:
+                self.fres = _fres_formula(self.profile, *self._stats)
+        return self.fres
 
-    def bleu(self, reference: _Side) -> float:
+    def score_bleu(self, reference: _Side) -> float:
         """Sentence BLEU of this sentence against ``reference``."""
-        return _token_bleu([(self.tokens(), [reference.tokens()])], MAX_NGRAM_ORDER, True)
+        if self.bleu is None:
+            self.bleu = _token_bleu([(self.tokens(), [reference.tokens()])], MAX_NGRAM_ORDER, True)
+        return self.bleu
 
     def n_words(self) -> int:
         # The readability counts hold the word count once a check has made them.
@@ -199,60 +212,40 @@ def generate_pseudo_pairs(
         yield SentencePair(target, translation, index)
 
 
-def _nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
+def _is_identity(source: _Side, translated: _Side) -> bool:
+    return unicodedata.normalize("NFC", source.text) == unicodedata.normalize("NFC", translated.text)
 
 
-def _is_identity(pair: SentencePair) -> bool:
-    return _nfc(pair.source_sentence) == _nfc(pair.translated_sentence)
-
-
-def _select(
-    config: SelectorConfig, pair: SentencePair, source: _Side, translated: _Side
-) -> Decision:
+def _select(config: SelectorConfig, index: int, source: _Side, translated: _Side) -> Decision:
     """Run the enabled selectors on one pair, in the order the module docstring gives.
 
-    Scores already on the pair are reused; a missing one is read from the
-    records of the pair's ``source`` and ``translated`` sides when a check
-    reaches it.
+    Every score is read from the records of the pair's ``source`` and
+    ``translated`` sides, which compute it when a check first reaches it;
+    the kept pair carries the scores the records hold at that point.
     """
-    bleu, fres_source, fres_translated = pair.bleu, pair.fres_source, pair.fres_translated
     if config.enable_bleu:
-        if config.drop_identity and _is_identity(pair):
+        if config.drop_identity and _is_identity(source, translated):
             return "dropped_identity"
-        if bleu is None:
-            bleu = translated.bleu(source)
-        if bleu < config.h_bleu:
+        if translated.score_bleu(source) < config.h_bleu:
             return "dropped_bleu"
     complex_side, simple_side, provenance, gap = source, translated, "unlabeled", 0.0
-    fres_complex, fres_simple = fres_source, fres_translated
     if config.enable_fres:
-        if fres_source is None:
-            fres_source = source.fres()
-        if fres_translated is None:
-            fres_translated = translated.fres()
+        fres_source, fres_translated = source.score_fres(), translated.score_fres()
         if fres_source is None or fres_translated is None:
             return "dropped_no_words"
-        if abs(fres_source - fres_translated) < config.h_fres:
+        gap = fres_translated - fres_source
+        if abs(gap) < config.h_fres:
             return "dropped_fres"
-        if _is_identity(pair):
+        if _is_identity(source, translated):
             return "dropped_identity"
         # The side with the higher reading-ease score is the simple one.
         if fres_translated >= fres_source:
-            provenance, fres_complex, fres_simple = "translated", fres_source, fres_translated
-        else:
-            complex_side, simple_side, provenance = translated, source, "source"
-            fres_complex, fres_simple = fres_translated, fres_source
-        gap = fres_simple - fres_complex
+            provenance = "translated"
+        else:  # negating the gap is exact: a - b == -(b - a)
+            complex_side, simple_side, provenance, gap = translated, source, "source", -gap
     kept = LabeledPair(
-        complex=complex_side.text,
-        simple=simple_side.text,
-        fres_gap=gap,
-        provenance=provenance,
-        index=pair.index,
-        bleu=bleu,
-        fres_complex=fres_complex,
-        fres_simple=fres_simple,
+        complex_side.text, simple_side.text, gap, provenance, index,
+        translated.bleu, complex_side.fres, simple_side.fres,
     )
     return kept, complex_side, simple_side
 
@@ -265,21 +258,16 @@ def _decide(
 ) -> list[Decision]:
     """Decide ``pair`` once per configuration, all from the same two records.
 
-    With ``score_all``, the BLEU and both reading-ease scores are computed
-    first, so every kept pair carries all three.
+    With ``score_all``, the records are given the BLEU and both reading-ease
+    scores first, so every kept pair carries all three.
     """
     source = _Side(pair.source_sentence, profile)
     translated = _Side(pair.translated_sentence, profile)
     if score_all:
-        pair = SentencePair(
-            pair.source_sentence,
-            pair.translated_sentence,
-            pair.index,
-            translated.bleu(source),
-            source.fres(),
-            translated.fres(),
-        )
-    return [_select(config, pair, source, translated) for config in configs]
+        translated.score_bleu(source)
+        source.score_fres()
+        translated.score_fres()
+    return [_select(config, pair.index, source, translated) for config in configs]
 
 
 def _count_drop(tally: Optional[DropTally], reason: str) -> None:
@@ -295,7 +283,9 @@ def _selected(
 ) -> Iterator[tuple[SentencePair, LabeledPair]]:
     """Each input pair that ``config`` keeps, with its kept form; drops are tallied."""
     for pair in pairs:
-        (decision,) = _decide((config,), profile, False, pair)
+        source = _Side(pair.source_sentence, profile, pair.fres_source)
+        translated = _Side(pair.translated_sentence, profile, pair.fres_translated, pair.bleu)
+        decision = _select(config, pair.index, source, translated)
         if isinstance(decision, str):
             _count_drop(tally, decision)
         else:
@@ -391,9 +381,6 @@ class _Collector:
                 self.tally.dropped_duplicate += 1
                 return
             self.seen.add(key)
-        self.add_kept(pair, complex_side, simple_side)
-
-    def add_kept(self, pair: LabeledPair, complex_side: _Side, simple_side: _Side) -> None:
         if self.sink is not None:
             self.sink.append(pair)
         self.tally.n_kept += 1
@@ -423,7 +410,7 @@ def compute_corpus_stats(
     """
     collector = _Collector(SelectorConfig(), profile, sink)
     for pair in pairs:
-        collector.add_kept(pair, _Side(pair.complex, profile), _Side(pair.simple, profile))
+        collector.add((pair, _Side(pair.complex, profile), _Side(pair.simple, profile)))
     return collector.corpus().stats
 
 

@@ -295,13 +295,22 @@ class TestStats:
         }
 
 
+def json_error(raw: bytes) -> str:
+    """The running interpreter's message for malformed JSON; its wording differs between versions."""
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return exc.msg
+    raise AssertionError(f"{raw!r} is valid JSON")
+
+
 @pytest.mark.parametrize("command", ["stats", "subset"])
 @pytest.mark.parametrize(
     "meta, message",
     [
         ({"config": {"min_len": 3}}, "unexpected keyword argument 'min_len'"),
         ([1, 2], "expected a JSON object, got list"),
-        (b'{"lang": "en",}', "Expecting property name enclosed in double quotes"),
+        (b'{"lang": "en",}', json_error(b'{"lang": "en",}')),
         (b'{"lang": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
         ({"lang": ["en"]}, "unhashable type: 'list'"),
         ({"lang": "xx"}, "unknown language profile 'xx'"),
@@ -321,6 +330,55 @@ def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):
     assert stderr.startswith(f"error: {meta_path}: ") and stderr.count("\n") == 1
     assert message in stderr
     assert not list(tmp_path.glob("s*"))
+
+
+@pytest.mark.parametrize("command", ["stats", "subset"])
+@pytest.mark.parametrize("written, requested", [("tsv", "plain"), ("plain", "tsv")])
+def test_a_format_other_than_the_recorded_one_is_an_error(
+    tmp_path, capsys, command, written, requested
+):
+    target, translations = write_aligned_files(tmp_path, 20)
+    prefix = tmp_path / "c"
+    code, _, _ = run(
+        capsys, "build", "--target", str(target), "--translations", str(translations),
+        "--out", str(prefix), "--format", written,
+    )
+    assert code == 0
+    # Empty files of the requested format do not stand in for the corpus.
+    for suffix in {"plain": ("complex", "simple"), "tsv": ("tsv",)}[requested]:
+        (tmp_path / f"c.{suffix}").write_bytes(b"")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = [command, "--corpus", str(prefix), "--format", requested]
+    if command == "subset":
+        argv += ["-n", "1", "--out", str(tmp_path / "s")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    message = f"the corpus format is {written!r}, not {requested!r}"
+    assert stderr == f"error: {prefix}.meta.json: {message}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["stats", "subset"])
+def test_a_meta_file_without_a_format_is_read_in_the_requested_one(tmp_path, capsys, command):
+    target, translations = write_aligned_files(tmp_path, 20)
+    prefix = tmp_path / "c"
+    run(
+        capsys, "build", "--target", str(target), "--translations", str(translations),
+        "--out", str(prefix), "--format", "tsv", "--no-bleu-selector", "--no-fres-selector",
+    )
+    meta_path = tmp_path / "c.meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    del meta["format"]
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    argv = [command, "--corpus", str(prefix), "--format", "tsv"]
+    if command == "subset":
+        argv += ["-n", "5", "--out", str(tmp_path / "s")]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    if command == "subset":
+        assert stdout == "kept 5 of 20 pairs\n"
+    else:
+        assert json.loads(stdout)["total_pairs"] == 20
 
 
 def test_import_loads_neither_multiprocessing_nor_hashlib():

@@ -229,6 +229,21 @@ class TestCorpusPersistence:
         with pytest.raises(ValueError, match="unknown corpus format"):
             write_corpus(self.build(), tmp_path / "out", format="xml")
 
+    def test_reading_in_a_format_other_than_the_recorded_one_is_an_error(self, tmp_path):
+        corpus = self.build()
+        write_corpus(corpus, tmp_path / "out", format="tsv")
+        meta_path = tmp_path / "out.meta.json"
+        with pytest.raises(ValueError) as excinfo:
+            read_corpus(tmp_path / "out")
+        assert str(excinfo.value) == f"{meta_path}: the corpus format is 'tsv', not 'plain'"
+        # A meta.json that records no format is read in the format asked for, as before.
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        del meta["format"]
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        assert len(read_corpus(tmp_path / "out", format="tsv").pairs) == len(corpus.pairs)
+        with pytest.raises(FileNotFoundError):
+            read_corpus(tmp_path / "out")
+
     def test_tsv_keeps_carriage_return_and_rejects_tab(self, tmp_path):
         kept = text_corpus([("a\rb", "c d")])
         write_corpus(kept, tmp_path / "cr", format="tsv")

@@ -362,8 +362,8 @@ class TestCorpusStats:
 
 @pytest.fixture
 def scheme_calls(monkeypatch):
-    """Count the pipeline's calls of each tokenizer and counter, by name."""
-    calls = dict.fromkeys(("metric_tokens", "text_stats", "tokenize_words"), 0)
+    """Count the pipeline's calls of each tokenizer and counter, and of the BLEU kernel, by name."""
+    calls = dict.fromkeys(("metric_tokens", "text_stats", "tokenize_words", "_token_bleu"), 0)
     for name in calls:
         original = getattr(pipeline, name)
 
@@ -386,6 +386,7 @@ class TestOneComputationPerScheme:
             "metric_tokens": 2 * self.N,
             "text_stats": 2 * self.N,
             "tokenize_words": 0,
+            "_token_bleu": self.N,
         }
 
     def test_default_build_reuses_the_selectors_word_counts(self, scheme_calls):
@@ -395,6 +396,7 @@ class TestOneComputationPerScheme:
         assert scheme_calls["tokenize_words"] == 0
         assert scheme_calls["metric_tokens"] <= 2 * self.N
         assert scheme_calls["text_stats"] <= 2 * self.N
+        assert 0 < scheme_calls["_token_bleu"] <= self.N
 
     def test_words_are_counted_for_stats_only_when_no_check_counted_them(self, scheme_calls):
         targets, translations = make_aligned_streams(self.N, seed=109)
@@ -403,3 +405,21 @@ class TestOneComputationPerScheme:
         assert scheme_calls["text_stats"] == 0
         assert scheme_calls["tokenize_words"] == 2 * len(corpus.pairs) > 0
         assert corpus.stats == compute_corpus_stats(corpus.pairs, EN)
+
+    def test_a_pre_scored_bleu_is_used_as_given(self, scheme_calls):
+        source = "Zebras are running extraordinarily energetically nowadays."
+        pair = SentencePair(source, "Cats sit.", 0, bleu=99.0)  # unrelated: its BLEU is about 0
+        (survivor,) = bleu_selector([pair], SelectorConfig(), DropTally())
+        assert survivor.bleu == 99.0
+        (labeled,) = fres_selector(bleu_selector([pair], SelectorConfig()), SelectorConfig(), EN)
+        assert labeled.bleu == 99.0
+        assert labeled.provenance == "translated"
+        assert scheme_calls["_token_bleu"] == scheme_calls["metric_tokens"] == 0
+
+    def test_a_pre_scored_reading_ease_is_used_as_given(self, scheme_calls):
+        pair = SentencePair("Zebras run.", "Cats sit on mats.", 0, fres_source=-50.0)
+        (labeled,) = fres_selector([pair], SelectorConfig(), EN)
+        assert scheme_calls["text_stats"] == 1
+        assert labeled.fres_complex == -50.0
+        assert labeled.fres_simple == fres("Cats sit on mats.", EN)
+        assert labeled.fres_gap == labeled.fres_simple + 50.0
