@@ -220,13 +220,13 @@ def _pair_paths(prefix: Path | str, format: str) -> list[Path]:
 
 
 class CorpusWriter:
-    """Streams one corpus to files at ``<prefix>``, pair by pair.
+    """Streams one corpus to files at ``<prefix>``, a chunk of pairs at a time.
 
     plain: ``<prefix>.complex`` and ``<prefix>.simple``, line-aligned, LF.
     tsv:   one file with per-pair scores for inspection.
 
     Files are written under temporary names in the output directory:
-    :meth:`append` per pair, then ``<prefix>.meta.json`` by :meth:`close`;
+    :meth:`extend`, then ``<prefix>.meta.json`` by :meth:`close`;
     :func:`writing` renames them into place. The ``with`` block removes the
     temporary files this writer created and any directory it made that is
     still empty, so a failed or interrupted run leaves no new file behind
@@ -272,23 +272,29 @@ class CorpusWriter:
                     directory.rmdir()
 
     def append(self, pair: LabeledPair) -> None:
-        """Write one pair; a sentence the reader could not give back is an error naming the pair."""
-        complex_text, simple_text = pair.complex, pair.simple
+        self.extend([pair])
+
+    def extend(self, pairs: list[LabeledPair]) -> None:
+        """Write ``pairs``, each file once; a sentence the reader could not give back is an error
+        naming its pair, and then none of ``pairs`` is written."""
         tsv = self._tsv
-        for text in (complex_text, simple_text):
-            if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):
-                raise ValueError(
-                    f"pair {pair.index}: sentence {text!r} has a tab or line break "
-                    f"that the {self.format} format cannot hold"
-                )
+        for pair in pairs:
+            for text in (pair.complex, pair.simple):
+                if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):
+                    raise ValueError(
+                        f"pair {pair.index}: sentence {text!r} has a tab or line break "
+                        f"that the {self.format} format cannot hold"
+                    )
         if tsv:
-            scores = (pair.bleu, pair.fres_complex, pair.fres_simple, pair.fres_gap)
-            row = "\t".join((complex_text, simple_text, *map(_format_score, scores)))
-            self._writes[0](row + "\n")
+            rows = []
+            for pair in pairs:
+                scores = (pair.bleu, pair.fres_complex, pair.fres_simple, pair.fres_gap)
+                rows.append("\t".join((pair.complex, pair.simple, *map(_format_score, scores))))
+            self._writes[0]("".join(row + "\n" for row in rows))
         else:
             write_complex, write_simple = self._writes
-            write_complex(complex_text + "\n")
-            write_simple(simple_text + "\n")
+            write_complex("".join([pair.complex + "\n" for pair in pairs]))
+            write_simple("".join([pair.simple + "\n" for pair in pairs]))
 
     def close(self, corpus: SimplificationCorpus, run_info: Optional[dict] = None) -> None:
         """Finish the pair files and write ``meta.json`` from ``corpus``, under temporary names."""
@@ -338,8 +344,7 @@ def write_corpus(
 ) -> list[Path]:
     """Write ``corpus`` through :func:`writing`; returns the paths written."""
     with writing([out_prefix], format) as (writer,):
-        for pair in corpus.pairs:
-            writer.append(pair)
+        writer.extend(corpus.pairs)
         writer.close(corpus, run_info)
     return writer.paths
 

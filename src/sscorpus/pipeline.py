@@ -17,19 +17,19 @@ scores of the enabled selectors and the others stay None (empty in TSV).
 The decision depends on nothing but the pair and the configuration, so
 filtering is order-stable, idempotent, and safe to fan out across workers.
 
-One decide loop serves ``build`` and ``ablate``. It gives each side of a
-pair one record that computes the sentence's 13a tokens, readability counts
-and scores on first use and keeps them, then decides the pair once per
-configuration from those records: ``build`` has one configuration, and
-``ablate`` has its four variants, which score every pair fully so that each
-variant's kept pairs carry all three scores. The records are the only place
-a pair's scores live, and BLEU, reading ease and the corpus statistics all
-read them, so a sentence is tokenized and counted at most once per scheme,
-whatever the number of variants, and a build holds no token lists past the
-pair they belong to.
-
-Each configuration hands its kept pairs, in input order, to a sink: a list,
-or a corpus writer that streams them to disk and keeps none in memory.
+One decide loop serves ``build`` and ``ablate``. It reads the input a chunk
+of CHUNK_SIZE pairs at a time, gives each side of a pair one record that
+computes the sentence's 13a tokens, readability counts and scores on first
+use and keeps them, and decides the pair for every configuration in one
+call: ``build`` has one configuration, and ``ablate`` its four variants,
+which score every pair fully so that their kept pairs carry all three
+scores and share one kept record. So a sentence is tokenized and counted at
+most once per scheme, whatever the number of variants, and no token list
+outlives its chunk. A chunk's decisions are one reply of plain tuples, sets
+and counts, which ``--workers`` computes in worker processes; the replies
+are merged in input order, each configuration handing a chunk's kept pairs
+to its sink in one call: a list, or a corpus writer that streams them to
+disk.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ from __future__ import annotations
 import math
 import random
 import unicodedata
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import zip_longest
+from itertools import chain, count, islice, starmap, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
 
 from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
@@ -53,6 +55,10 @@ from .textprep import (
 )
 
 _SENTINEL = object()
+
+# Pairs per chunk: the unit of deciding, of work sent to a worker process and
+# of writing. Chunks of 64 pairs measured as fast as larger ones and hold less.
+CHUNK_SIZE = 64
 
 
 @dataclass
@@ -185,94 +191,79 @@ class _Side:
 
 
 class Sink(Protocol):
-    """Takes each kept pair in input order: a list, or an ``ingest.CorpusWriter``."""
+    """Takes kept pairs a chunk at a time, in input order: a list, or an ``ingest.CorpusWriter``."""
 
-    def append(self, pair: LabeledPair) -> None: ...
+    def extend(self, pairs: list[LabeledPair]) -> None: ...
 
 
-# What the selector returns for one pair: the kept pair with the records of
-# its complex and simple sides, or the name of the DropTally field that
-# counts its drop.
-Decision = Union[tuple[LabeledPair, _Side, _Side], str]
+def _aligned(bitext_targets: Iterable[str], translations: Iterable[str]) -> Iterator[tuple]:
+    """The line-aligned streams as ``(target, translation)`` tuples; unequal lengths are errors."""
+    sides = zip_longest(bitext_targets, translations, fillvalue=_SENTINEL)
+    for index, pair in enumerate(sides):
+        if _SENTINEL in pair:
+            longer = index + 1 + sum(1 for _ in sides)
+            n_targets, n_translations = (index, longer) if pair[0] is _SENTINEL else (longer, index)
+            raise ValueError(
+                "aligned streams differ in length: "
+                f"{n_targets} target lines vs {n_translations} translation lines"
+            )
+        yield pair
 
 
 def generate_pseudo_pairs(
     bitext_targets: Iterable[str], translations: Iterable[str]
 ) -> Iterator[SentencePair]:
     """Pair the two line-aligned streams, one SentencePair per line, unfiltered."""
-    sides = zip_longest(bitext_targets, translations, fillvalue=_SENTINEL)
-    for index, (target, translation) in enumerate(sides):
-        if target is _SENTINEL or translation is _SENTINEL:
-            longer = index + 1 + sum(1 for _ in sides)
-            n_targets, n_translations = (index, longer) if target is _SENTINEL else (longer, index)
-            raise ValueError(
-                "aligned streams differ in length: "
-                f"{n_targets} target lines vs {n_translations} translation lines"
-            )
+    for index, (target, translation) in enumerate(_aligned(bitext_targets, translations)):
         yield SentencePair(target, translation, index)
 
 
-def _is_identity(source: _Side, translated: _Side) -> bool:
-    return unicodedata.normalize("NFC", source.text) == unicodedata.normalize("NFC", translated.text)
+def _select(
+    configs: Sequence[SelectorConfig], index: int, source: _Side, translated: _Side
+) -> tuple[list[tuple[tuple, _Side, _Side]], list[Union[int, str]]]:
+    """Run the enabled selectors on a pair for each configuration, in the module docstring's order.
 
-
-def _select(config: SelectorConfig, index: int, source: _Side, translated: _Side) -> Decision:
-    """Run the enabled selectors on one pair, in the order the module docstring gives.
-
-    Every score is read from the records of the pair's ``source`` and
-    ``translated`` sides, which compute it when a check first reaches it;
-    the kept pair carries the scores the records hold at that point.
+    Every score is read from the records of the pair's sides, which compute
+    it when a check first reaches it. Returns the pair's kept records, each
+    its LabeledPair fields as a tuple with the records of its complex and
+    simple sides, at most one unlabeled and one labeled that configurations
+    share, and per configuration the position of its kept record or the
+    name of the DropTally field that counts its drop.
     """
-    if config.enable_bleu:
-        if config.drop_identity and _is_identity(source, translated):
-            return "dropped_identity"
-        if translated.score_bleu(source) < config.h_bleu:
-            return "dropped_bleu"
-    complex_side, simple_side, provenance, gap = source, translated, "unlabeled", 0.0
-    if config.enable_fres:
-        fres_source, fres_translated = source.score_fres(), translated.score_fres()
-        if fres_source is None or fres_translated is None:
-            return "dropped_no_words"
-        gap = fres_translated - fres_source
-        if abs(gap) < config.h_fres:
-            return "dropped_fres"
-        if _is_identity(source, translated):
-            return "dropped_identity"
-        # The side with the higher reading-ease score is the simple one.
-        if fres_translated >= fres_source:
-            provenance = "translated"
-        else:  # negating the gap is exact: a - b == -(b - a)
-            complex_side, simple_side, provenance, gap = translated, source, "source", -gap
-    kept = LabeledPair(
-        complex_side.text, simple_side.text, gap, provenance, index,
-        translated.bleu, complex_side.fres, simple_side.fres,
-    )
-    return kept, complex_side, simple_side
-
-
-def _decide(
-    configs: Sequence[SelectorConfig],
-    profile: Optional[LanguageProfile],
-    score_all: bool,
-    pair: SentencePair,
-) -> list[Decision]:
-    """Decide ``pair`` once per configuration, all from the same two records.
-
-    With ``score_all``, the records are given the BLEU and both reading-ease
-    scores first, so every kept pair carries all three.
-    """
-    source = _Side(pair.source_sentence, profile)
-    translated = _Side(pair.translated_sentence, profile)
-    if score_all:
-        translated.score_bleu(source)
-        source.score_fres()
-        translated.score_fres()
-    return [_select(config, pair.index, source, translated) for config in configs]
-
-
-def _count_drop(tally: Optional[DropTally], reason: str) -> None:
-    if tally is not None:
-        setattr(tally, reason, getattr(tally, reason) + 1)
+    nfc = unicodedata.normalize
+    identical = nfc("NFC", source.text) == nfc("NFC", translated.text)  # for every configuration
+    kept: list[tuple[tuple, _Side, _Side]] = []
+    decisions: list[Union[int, str]] = []
+    positions: dict[bool, int] = {}  # whether labeled -> position in kept
+    for config in configs:
+        bleu, fres = config.enable_bleu, config.enable_fres
+        if bleu and config.drop_identity and identical:
+            decisions.append("dropped_identity")
+        elif bleu and translated.score_bleu(source) < config.h_bleu:
+            decisions.append("dropped_bleu")
+        elif fres and (source.score_fres() is None or translated.score_fres() is None):
+            decisions.append("dropped_no_words")
+        elif fres and abs(translated.fres - source.fres) < config.h_fres:
+            decisions.append("dropped_fres")
+        elif fres and identical:
+            decisions.append("dropped_identity")
+        elif fres in positions:
+            decisions.append(positions[fres])
+        else:
+            complex_side, simple_side, provenance, gap = source, translated, "unlabeled", 0.0
+            if fres:
+                gap = translated.fres - source.fres
+                # The side with the higher reading-ease score is the simple one.
+                if translated.fres >= source.fres:
+                    provenance = "translated"
+                else:  # negating the gap is exact: a - b == -(b - a)
+                    complex_side, simple_side, provenance, gap = translated, source, "source", -gap
+            row = (complex_side.text, simple_side.text, gap, provenance, index, translated.bleu)
+            row += (complex_side.fres, simple_side.fres)
+            positions[fres] = len(kept)
+            decisions.append(len(kept))
+            kept.append((row, complex_side, simple_side))
+    return kept, decisions
 
 
 def _selected(
@@ -285,11 +276,11 @@ def _selected(
     for pair in pairs:
         source = _Side(pair.source_sentence, profile, pair.fres_source)
         translated = _Side(pair.translated_sentence, profile, pair.fres_translated, pair.bleu)
-        decision = _select(config, pair.index, source, translated)
-        if isinstance(decision, str):
-            _count_drop(tally, decision)
-        else:
-            yield pair, decision[0]
+        kept, (decision,) = _select((config,), pair.index, source, translated)
+        if kept:
+            yield pair, LabeledPair(*kept[decision][0])
+        elif tally is not None:
+            setattr(tally, decision, getattr(tally, decision) + 1)
 
 
 def bleu_selector(
@@ -327,78 +318,127 @@ def fres_selector(
         yield kept
 
 
-def _map(func: Callable, pairs: Iterable[SentencePair], workers: int) -> Iterator:
-    if workers <= 1:
-        yield from map(func, pairs)
-        return
-    # Imported only here: multiprocessing loads socket and pickle, memory a
-    # one-worker run has no use for.
-    from multiprocessing import Pool
+def _decide_chunk(
+    configs: Sequence[SelectorConfig], profile: LanguageProfile, score_all: bool, start: int,
+    chunk: list[tuple[str, str]],
+) -> tuple[list[tuple], list[tuple[int, int]], list[tuple]]:
+    """Decide ``(target, translation)`` pairs numbered from ``start`` for every configuration.
 
-    # imap preserves input order, so the merged stream is bit-identical to
-    # the single-worker run regardless of scheduling.
-    with Pool(workers) as pool:
-        yield from pool.imap(func, pairs, chunksize=256)
+    With ``score_all``, every kept pair carries all three scores. Returns the
+    chunk's kept pairs as LabeledPair field tuples with their (complex,
+    simple) word counts, and per configuration a record: its drop counts by
+    DropTally field, the positions of its kept pairs, and their vocabulary.
+    """
+    rows, words, complex_tokens, simple_tokens = [], [], [], []
+    drops: list[dict[str, int]] = [{} for _ in configs]
+    positions: list[list[int]] = [[] for _ in configs]
+    for index, (target, translation) in enumerate(chunk, start):
+        source, translated = _Side(target, profile), _Side(translation, profile)
+        if score_all:
+            translated.score_bleu(source)
+            source.score_fres()
+            translated.score_fres()
+        kept, decisions = _select(configs, index, source, translated)
+        first = len(rows)
+        for row, complex_side, simple_side in kept:
+            rows.append(row)
+            words.append((complex_side.n_words(), simple_side.n_words()))
+            complex_tokens.append(complex_side.tokens())
+            simple_tokens.append(simple_side.tokens())
+        for config_drops, config_positions, decision in zip(drops, positions, decisions):
+            if isinstance(decision, int):
+                config_positions.append(first + decision)
+            else:
+                config_drops[decision] = config_drops.get(decision, 0) + 1
+    token_lists = (complex_tokens, simple_tokens)
+    vocab = [
+        [set(chain.from_iterable(map(tokens.__getitem__, kept_rows))) for tokens in token_lists]
+        for kept_rows in positions
+    ]
+    return rows, words, list(zip(drops, positions, vocab))
+
+
+def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterator:
+    """``decide(*chunk)`` for each chunk, in input order.
+
+    Several workers are fed by the calling thread, so no thread of the pool
+    reads the input, and at most two chunks per worker wait.
+    """
+    if workers <= 1:
+        yield from starmap(decide, chunks)
+        return
+    from multiprocessing import get_context  # not for one worker: it loads socket and pickle
+
+    waiting: deque = deque()
+    with get_context("spawn").Pool(workers) as pool:
+        for chunk in chunks:
+            waiting.append(pool.apply_async(decide, chunk))
+            if len(waiting) > 2 * workers:
+                yield waiting.popleft().get()
+        while waiting:
+            yield waiting.popleft().get()
 
 
 class _Collector:
-    """One configuration's corpus, built from its decisions as they arrive.
+    """A corpus's drop tally and statistics, merged from chunk records in input order.
 
-    Tallies the drops, drops repeated (complex, simple) pairs under
-    ``dedup``, hands each kept pair to ``sink``, and folds its vocabulary
-    and word counts in from the records of its sides.
+    Drops repeated (complex, simple) pairs under ``dedup`` and hands each
+    chunk's kept pairs to ``sink`` in one call.
     """
 
-    def __init__(
-        self, config: SelectorConfig, profile: LanguageProfile, sink: Optional[Sink] = None
-    ) -> None:
-        self.config = config
-        self.lang = profile.lang_code
-        self.sink = sink
+    def __init__(self, sink: Optional[Sink], dedup: bool = False) -> None:
+        self.sink, self.dedup = sink, dedup
         self.tally = DropTally()
         self.seen: set[bytes] = set()
-        if config.dedup:
+        if dedup:
             # Imported only here: hashlib loads OpenSSL, several MiB of memory.
             from hashlib import blake2b
 
             self.blake2b = blake2b
         self.vocab_complex: set[str] = set()
         self.vocab_simple: set[str] = set()
-        self.words_complex = 0
-        self.words_simple = 0
+        self.words_complex = self.words_simple = 0
 
-    def add(self, decision: Decision) -> None:
-        self.tally.n_input += 1
-        if isinstance(decision, str):
-            _count_drop(self.tally, decision)
-            return
-        pair, complex_side, simple_side = decision
-        if self.config.dedup:
-            # 16 bytes stand in for both strings; the length prefix marks where one ends.
-            text = f"{len(pair.complex)}:{pair.complex}{pair.simple}"
-            key = self.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
-            if key in self.seen:
-                self.tally.dropped_duplicate += 1
-                return
-            self.seen.add(key)
+    def _unseen(self, pair: LabeledPair) -> bool:
+        # 16 bytes stand in for both strings; the length prefix marks where one ends.
+        text = f"{len(pair.complex)}:{pair.complex}{pair.simple}"
+        key = self.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+        if key in self.seen:
+            return False
+        self.seen.add(key)
+        return True
+
+    def merge(
+        self, pairs: Sequence[LabeledPair], words: list[tuple[int, int]], record: tuple
+    ) -> None:
+        """Fold in one chunk's record; ``pairs`` and ``words`` are the chunk's kept pairs."""
+        drops, kept, (vocab_complex, vocab_simple) = record
+        tally = self.tally
+        tally.n_input += len(kept) + sum(drops.values())
+        for reason, count in drops.items():
+            setattr(tally, reason, getattr(tally, reason) + count)
+        if self.dedup:
+            # A duplicate repeats a kept pair, so its tokens are in the vocabulary already.
+            unseen = [i for i in kept if self._unseen(pairs[i])]
+            tally.dropped_duplicate += len(kept) - len(unseen)
+            kept = unseen
         if self.sink is not None:
-            self.sink.append(pair)
-        self.tally.n_kept += 1
-        self.vocab_complex.update(complex_side.tokens())
-        self.vocab_simple.update(simple_side.tokens())
-        self.words_complex += complex_side.n_words()
-        self.words_simple += simple_side.n_words()
+            self.sink.extend([pairs[i] for i in kept])
+        tally.n_kept += len(kept)
+        self.vocab_complex |= vocab_complex
+        self.vocab_simple |= vocab_simple
+        self.words_complex += sum([words[i][0] for i in kept])
+        self.words_simple += sum([words[i][1] for i in kept])
 
-    def corpus(self) -> SimplificationCorpus:
+    def stats(self) -> CorpusStats:
         total = self.tally.n_kept
-        stats = CorpusStats(
+        return CorpusStats(
             vocab_complex=len(self.vocab_complex),
             vocab_simple=len(self.vocab_simple),
             avg_len_complex=self.words_complex / total if total else 0.0,
             avg_len_simple=self.words_simple / total if total else 0.0,
             total_pairs=total,
         )
-        return SimplificationCorpus([], self.lang, self.config, stats, self.tally)
 
 
 def compute_corpus_stats(
@@ -406,12 +446,16 @@ def compute_corpus_stats(
 ) -> CorpusStats:
     """Distinct-token vocabulary and mean word length per side, in one pass over ``pairs``.
 
-    Each pair is also handed to ``sink`` when one is given.
+    The pairs are also handed to ``sink``, a chunk at a time, when one is given.
     """
-    collector = _Collector(SelectorConfig(), profile, sink)
-    for pair in pairs:
-        collector.add((pair, _Side(pair.complex, profile), _Side(pair.simple, profile)))
-    return collector.corpus().stats
+    collector = _Collector(sink)
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, CHUNK_SIZE)):
+        sides = [(pair.complex, pair.simple) for pair in chunk]
+        words = [(len(tokenize_words(c).tokens), len(tokenize_words(s).tokens)) for c, s in sides]
+        vocab = [set(chain.from_iterable(map(metric_tokens, side))) for side in zip(*sides)]
+        collector.merge(chunk, words, ({}, range(len(chunk)), vocab))
+    return collector.stats()
 
 
 def _build(
@@ -421,18 +465,30 @@ def _build(
     profile: LanguageProfile,
     workers: int,
     score_all: bool,
-    sinks: Sequence[Sink],
+    sinks: Sequence[Optional[Sink]],
 ) -> list[SimplificationCorpus]:
-    """Decide each generated pair once per configuration and hand its kept pairs to its sink.
+    """Decide the pairs a chunk at a time and hand each configuration's kept pairs to its sink.
 
-    Returns one corpus per configuration, without pairs.
+    Returns one corpus per configuration, whose ``pairs`` are its kept pairs if it has no sink.
     """
-    collectors = [_Collector(config, profile, sink) for config, sink in zip(configs, sinks)]
-    pairs = generate_pseudo_pairs(bitext_targets, translations)
-    for decisions in _map(partial(_decide, configs, profile, score_all), pairs, workers):
-        for collector, decision in zip(collectors, decisions):
-            collector.add(decision)
-    return [collector.corpus() for collector in collectors]
+    kept: list[list[LabeledPair]] = [[] for _ in configs]  # filled where no sink is given
+    collectors = [
+        _Collector(pairs if sink is None else sink, config.dedup)
+        for config, sink, pairs in zip(configs, sinks, kept)
+    ]
+    decide = partial(_decide_chunk, configs, profile, score_all)
+    aligned = _aligned(bitext_targets, translations)
+    # (index of the first pair, pairs) per chunk; only the last chunk can be short.
+    chunks = zip(count(0, CHUNK_SIZE), iter(lambda: list(islice(aligned, CHUNK_SIZE)), []))
+    with closing(_replies(decide, chunks, workers)) as replies:
+        for rows, words, records in replies:
+            labeled = [LabeledPair(*row) for row in rows]
+            for collector, record in zip(collectors, records):
+                collector.merge(labeled, words, record)
+    return [
+        SimplificationCorpus(pairs, profile.lang_code, config, collector.stats(), collector.tally)
+        for config, collector, pairs in zip(configs, collectors, kept)
+    ]
 
 
 def build_corpus(
@@ -448,10 +504,8 @@ def build_corpus(
     The kept pairs are collected in the corpus's ``pairs`` list, or, with a
     ``sink``, handed to it as they are decided; ``pairs`` is then empty.
     """
-    kept: list[LabeledPair] = []
-    sinks = (kept if sink is None else sink,)
-    (corpus,) = _build(bitext_targets, translations, (config,), profile, workers, False, sinks)
-    return replace(corpus, pairs=kept)
+    (corpus,) = _build(bitext_targets, translations, (config,), profile, workers, False, (sink,))
+    return corpus
 
 
 ABLATION_VARIANTS = ("pseudo", "no_bleu", "no_fres", "full")
@@ -479,14 +533,9 @@ def ablate(
         replace(base, enable_bleu=True, enable_fres=False),
         replace(base, enable_bleu=True, enable_fres=True),
     )
-    kept: dict[str, list[LabeledPair]] = {name: [] for name in ABLATION_VARIANTS}
-    targets = kept if sinks is None else sinks
-    variant_sinks = [targets[name] for name in ABLATION_VARIANTS]
+    variant_sinks = [None if sinks is None else sinks[name] for name in ABLATION_VARIANTS]
     corpora = _build(bitext_targets, translations, configs, profile, workers, True, variant_sinks)
-    return {
-        name: replace(corpus, pairs=kept[name])
-        for name, corpus in zip(ABLATION_VARIANTS, corpora)
-    }
+    return dict(zip(ABLATION_VARIANTS, corpora))
 
 
 def sample(pairs: Iterable[LabeledPair], total: int, n: int, seed: int) -> Iterator[LabeledPair]:

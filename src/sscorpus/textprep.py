@@ -52,6 +52,13 @@ class LanguageProfile:
     # accented i/u count as strong because the accent breaks the diphthong.
     strong_vowels: frozenset[str] = frozenset()
 
+    def __reduce_ex__(self, protocol):
+        # A shipped profile unpickles, in a worker process too, as the shipped object, which the
+        # syllable cache finds by identity instead of comparing every field on each text.
+        if PROFILES.get(self.lang_code) is self:
+            return get_profile, (self.lang_code,)
+        return super().__reduce_ex__(protocol)
+
 
 _EN_VOWELS = frozenset("aeiouy")
 _FR_VOWELS = frozenset("aeiouyàâéèêëîïôùûü")

@@ -1,6 +1,10 @@
 """The per-pair selector path as two separate steps, and the list-based
 corpus files, kept as test oracles.
 
+``generate_pseudo_pairs`` is copied unchanged from the per-pair generator
+that :mod:`sscorpus.pipeline` replaced with chunks of CHUNK_SIZE pairs; the
+oracles below pair their inputs with it.
+
 ``score_pair`` fills every score a configuration needs and ``_decide``
 applies the selectors to the scored pairs. They are copied unchanged from
 the implementation that :func:`sscorpus.pipeline.build_corpus` replaced
@@ -23,6 +27,7 @@ import random
 import unicodedata
 from dataclasses import asdict, replace
 from pathlib import Path
+from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
 from sscorpus.ingest import iter_lines, open_aligned
@@ -34,9 +39,27 @@ from sscorpus.pipeline import (
     SentencePair,
     SimplificationCorpus,
     compute_corpus_stats,
-    generate_pseudo_pairs,
 )
 from sscorpus.textprep import LanguageProfile, get_profile
+
+
+_SENTINEL = object()
+
+
+def generate_pseudo_pairs(
+    bitext_targets: Iterable[str], translations: Iterable[str]
+) -> Iterator[SentencePair]:
+    """Pair the two line-aligned streams, one SentencePair per line, unfiltered."""
+    sides = zip_longest(bitext_targets, translations, fillvalue=_SENTINEL)
+    for index, (target, translation) in enumerate(sides):
+        if target is _SENTINEL or translation is _SENTINEL:
+            longer = index + 1 + sum(1 for _ in sides)
+            n_targets, n_translations = (index, longer) if target is _SENTINEL else (longer, index)
+            raise ValueError(
+                "aligned streams differ in length: "
+                f"{n_targets} target lines vs {n_translations} translation lines"
+            )
+        yield SentencePair(target, translation, index)
 
 
 def _nfc(text: str) -> str:

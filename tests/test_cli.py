@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,25 @@ class TestBuild:
             assert code == 1
             assert "translator produced 0 lines for batch 15" in stderr
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failed_run_does_not_wait_for_the_translator(self, tmp_path, capsys, workers):
+        # The translator answers 320 lines, as many as a two-worker run reads
+        # before it merges its first chunk, then keeps its output open.
+        target, translations = write_aligned_files(tmp_path, 1000)
+        lines = target.read_text(encoding="utf-8").splitlines()
+        target.write_text("".join(f"{line}\n" for line in ["a\tb.", *lines[1:]]), encoding="utf-8")
+        start = time.monotonic()
+        code, _, stderr = run(
+            capsys, "build", "--target", str(target), "--bridge", str(translations),
+            "--translator-cmd", "sh -c 'sed -u 320q; exec sleep 30'", "--translator-timeout", "15",
+            "--format", "tsv", "--no-bleu-selector", "--no-fres-selector", "--workers", workers,
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 1
+        assert "error: pair 0: sentence 'a\\tb.' has a tab" in stderr
+        assert time.monotonic() - start < 5
+        assert list(tmp_path.glob("x*")) == []
 
     def test_translator_cmd_requires_bridge(self, tmp_path, capsys):
         target, _ = write_aligned_files(tmp_path, 5)

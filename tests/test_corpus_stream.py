@@ -1,11 +1,11 @@
 """Streamed corpus files against the list-based writer and reader they replaced.
 
-The CLI hands each kept pair to an ``ingest.CorpusWriter`` as it is decided;
+The CLI hands the kept pairs to an ``ingest.CorpusWriter`` as they are decided;
 ``pipeline_oracle`` keeps the writer, reader and subset that held the whole
 corpus in memory. Every file, ``meta.json`` included, the ``stats`` report
 and ``subset``'s output must match them byte for byte. The memory gate
-checks that a streamed CLI run's peak resident memory does not grow with
-its input.
+checks that the main process's peak resident memory in a streamed CLI run,
+with one worker or two, does not grow with its input.
 """
 
 from __future__ import annotations
@@ -159,6 +159,10 @@ def _peak_kib(argv: list[str]) -> int:
     return int(peak)
 
 
+# The main process only: worker processes hold a chunk or two each.
+RUNS = (("build",), ("ablate",), ("build", "--workers", "2"))
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux only)")
 def test_peak_memory_does_not_grow_with_input(tmp_path):
     peaks = {}
@@ -166,11 +170,11 @@ def test_peak_memory_does_not_grow_with_input(tmp_path):
         directory = tmp_path / f"n{size}"
         directory.mkdir()
         target, translations = write_aligned_files(directory, size, seed=109)
-        for command in ("build", "ablate"):
-            peaks[command, size] = _peak_kib([
-                command, "--target", str(target), "--translations", str(translations),
-                "--out", str(directory / command),
+        for run in RUNS:
+            peaks[run, size] = _peak_kib([
+                *run, "--target", str(target), "--translations", str(translations),
+                "--out", str(directory / run[0]),
             ])
-    for command in ("build", "ablate"):
-        small, large = peaks[command, 10_000], peaks[command, 40_000]
-        assert large <= 1.05 * small, f"{command}: {small} KiB at 10k pairs, {large} KiB at 40k"
+    for run in RUNS:
+        small, large = peaks[run, 10_000], peaks[run, 40_000]
+        assert large <= 1.05 * small, f"{run}: {small} KiB at 10k pairs, {large} KiB at 40k"

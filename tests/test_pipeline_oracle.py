@@ -1,9 +1,11 @@
-"""Differential tests: the single per-pair decision against score-then-decide.
+"""Differential tests: the chunked decision against per-pair score-then-decide.
 
-``pipeline_oracle`` keeps the two-step implementation that ``build_corpus``
-and ``ablate`` replaced. Every selector combination, three threshold pairs
-and one and two workers must give the same kept pairs (every field), drop
-tally and corpus statistics.
+``pipeline_oracle`` keeps the two-step, one-pair-at-a-time implementation
+that ``build_corpus`` and ``ablate`` replaced. Every selector combination,
+three threshold pairs, one and two workers, and inputs that end on, just
+before and just after a chunk boundary must give the same kept pairs (every
+field), drop tally and corpus statistics, and the same error for streams of
+different lengths.
 """
 
 from __future__ import annotations
@@ -15,10 +17,18 @@ from functools import lru_cache
 import pytest
 
 import kernel_oracle
+import pipeline_oracle
 from pipeline_oracle import oracle_ablate, oracle_build
 from synth import make_aligned_streams
 
-from sscorpus.pipeline import SelectorConfig, ablate, build_corpus, compute_corpus_stats
+from sscorpus.pipeline import (
+    CHUNK_SIZE,
+    SelectorConfig,
+    ablate,
+    build_corpus,
+    compute_corpus_stats,
+    generate_pseudo_pairs,
+)
 from sscorpus.textprep import get_profile
 
 EN = get_profile("en")
@@ -108,3 +118,57 @@ def test_ablate_matches_oracle(h_bleu, h_fres, workers):
         assert list(variants) == list(expected)
         for name in expected:
             _assert_same(variants[name], expected[name], f"{name} of {base}, workers={workers}")
+
+
+C = CHUNK_SIZE
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("n_pairs", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+def test_chunk_boundaries_match_oracle(n_pairs, dedup, workers):
+    targets, translations = make_aligned_streams(n_pairs, seed=n_pairs)
+    if n_pairs > C:  # a kept pair repeated across a chunk boundary, for dedup
+        targets[C], translations[C] = KEPT
+        targets[C - 1], translations[C - 1] = KEPT
+    config = SelectorConfig(dedup=dedup)
+    corpus = build_corpus(targets, translations, config, EN, workers=workers)
+    label = f"{n_pairs} pairs, dedup={dedup}, workers={workers}"
+    _assert_same(corpus, oracle_build(targets, translations, config, EN), label)
+    if dedup and n_pairs > C:
+        assert corpus.drop_tally.dropped_duplicate, label
+    variants = ablate(targets, translations, EN, config, workers=workers)
+    for name, expected in oracle_ablate(targets, translations, EN, config).items():
+        _assert_same(variants[name], expected, f"{name} of {label}")
+
+
+def _oracle_error(targets: list[str], translations: list[str]) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        list(pipeline_oracle.generate_pseudo_pairs(targets, translations))
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shorter", [C, 2 * C, C + 3])  # ends on a chunk boundary, or inside one
+@pytest.mark.parametrize("short_side", ["targets", "translations"])
+def test_length_mismatch_matches_oracle(shorter, short_side, workers):
+    targets, translations = make_aligned_streams(shorter + 5, seed=shorter)
+    if short_side == "targets":
+        targets = targets[:shorter]
+    else:
+        translations = translations[:shorter]
+    message = _oracle_error(targets, translations)
+    assert message == (
+        "aligned streams differ in length: "
+        f"{len(targets)} target lines vs {len(translations)} translation lines"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        list(generate_pseudo_pairs(iter(targets), iter(translations)))
+    assert str(excinfo.value) == message
+    for run in (
+        lambda: build_corpus(iter(targets), iter(translations), SelectorConfig(), EN, workers=workers),
+        lambda: ablate(iter(targets), iter(translations), EN, workers=workers),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            run()
+        assert str(excinfo.value) == message

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,3 +198,11 @@ class TestProfiles:
     def test_profiles_immutable(self):
         with pytest.raises(AttributeError):
             EN.k1 = 0.0
+
+    def test_shipped_profiles_unpickle_as_themselves(self):
+        for profile in PROFILES.values():
+            assert pickle.loads(pickle.dumps(profile)) is profile
+        custom = replace(EN, k1=200.0)
+        copy = pickle.loads(pickle.dumps(custom))
+        assert copy == custom and copy is not custom
+        assert text_stats("Cats sit.", copy) == text_stats("Cats sit.", EN)
