@@ -193,9 +193,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    lang, _, _ = ingest.read_meta(args.corpus, args.format)
+    ingest.read_meta(args.corpus, args.format)  # a malformed meta.json is an error
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
-    stats = pipeline.compute_corpus_stats(pairs, get_profile(lang))
+    stats = pipeline.compute_corpus_stats(pairs)
     print(json.dumps(asdict(stats), indent=2))
     return 0
 
@@ -225,7 +225,7 @@ def cmd_subset(args: argparse.Namespace) -> int:
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
     sampled = pipeline.sample(pairs, total, args.n, args.seed)
     with ingest.writing([args.out], args.format) as (writer,):
-        stats = pipeline.compute_corpus_stats(sampled, get_profile(lang), sink=writer)
+        stats = pipeline.compute_corpus_stats(sampled, sink=writer)
         writer.close(pipeline.SimplificationCorpus([], lang, config, stats), _run_info(args))
     print(f"kept {stats.total_pairs} of {total} pairs")
     return 0

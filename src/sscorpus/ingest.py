@@ -271,9 +271,6 @@ class CorpusWriter:
                 for directory in self._new_dirs:
                     directory.rmdir()
 
-    def append(self, pair: LabeledPair) -> None:
-        self.extend([pair])
-
     def extend(self, pairs: list[LabeledPair]) -> None:
         """Write ``pairs``, each file once; a sentence the reader could not give back is an error
         naming its pair, and then none of ``pairs`` is written."""
@@ -298,6 +295,10 @@ class CorpusWriter:
 
     def close(self, corpus: SimplificationCorpus, run_info: Optional[dict] = None) -> None:
         """Finish the pair files and write ``meta.json`` from ``corpus``, under temporary names."""
+        try:
+            get_profile(corpus.lang)  # read_meta takes back only a shipped profile's name
+        except ValueError as exc:
+            raise ValueError(f"{self.paths[-1]}: {exc}") from None
         meta = {
             "format": self.format,
             "lang": corpus.lang,
@@ -407,9 +408,7 @@ def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorp
     """Read a corpus written by :func:`write_corpus`, all its pairs in memory."""
     lang, config, tally = read_meta(prefix, format)
     pairs = list(iter_corpus(prefix, format))
-    return SimplificationCorpus(
-        pairs, lang, config, compute_corpus_stats(pairs, get_profile(lang)), tally
-    )
+    return SimplificationCorpus(pairs, lang, config, compute_corpus_stats(pairs), tally)
 
 
 def read_eval_dataset(directory: Path | str) -> tuple[list[str], list[list[str]]]:

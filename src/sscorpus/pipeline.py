@@ -21,9 +21,10 @@ One decide loop serves ``build`` and ``ablate``. It reads the input a chunk
 of CHUNK_SIZE pairs at a time, gives each side of a pair one record that
 computes the sentence's 13a tokens, readability counts and scores on first
 use and keeps them, and decides the pair for every configuration in one
-call: ``build`` has one configuration, and ``ablate`` its four variants,
-which score every pair fully so that their kept pairs carry all three
-scores and share one kept record. So a sentence is tokenized and counted at
+call: ``build`` has one configuration, and ``ablate`` its four variants.
+Kept records are shared by configurations, so with several configurations
+every pair is scored fully and each kept pair carries all three scores,
+whichever variant keeps it. So a sentence is tokenized and counted at
 most once per scheme, whatever the number of variants, and no token list
 outlives its chunk. A chunk's decisions are one reply of plain tuples, sets
 and counts, which ``--workers`` computes in worker processes; the replies
@@ -48,7 +49,6 @@ from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
 from .textprep import (
     LanguageProfile,
     TextStats,
-    get_profile,
     metric_tokens,
     text_stats,
     tokenize_words,
@@ -319,12 +319,13 @@ def fres_selector(
 
 
 def _decide_chunk(
-    configs: Sequence[SelectorConfig], profile: LanguageProfile, score_all: bool, start: int,
+    configs: Sequence[SelectorConfig], profile: LanguageProfile, start: int,
     chunk: list[tuple[str, str]],
 ) -> tuple[list[tuple], list[tuple[int, int]], list[tuple]]:
     """Decide ``(target, translation)`` pairs numbered from ``start`` for every configuration.
 
-    With ``score_all``, every kept pair carries all three scores. Returns the
+    Configurations share kept records, so with several of them every pair is
+    scored fully and every kept pair carries all three scores. Returns the
     chunk's kept pairs as LabeledPair field tuples with their (complex,
     simple) word counts, and per configuration a record: its drop counts by
     DropTally field, the positions of its kept pairs, and their vocabulary.
@@ -334,7 +335,7 @@ def _decide_chunk(
     positions: list[list[int]] = [[] for _ in configs]
     for index, (target, translation) in enumerate(chunk, start):
         source, translated = _Side(target, profile), _Side(translation, profile)
-        if score_all:
+        if len(configs) > 1:  # the configurations share kept records, which carry every score
             translated.score_bleu(source)
             source.score_fres()
             translated.score_fres()
@@ -441,9 +442,7 @@ class _Collector:
         )
 
 
-def compute_corpus_stats(
-    pairs: Iterable[LabeledPair], profile: LanguageProfile, sink: Optional[Sink] = None
-) -> CorpusStats:
+def compute_corpus_stats(pairs: Iterable[LabeledPair], sink: Optional[Sink] = None) -> CorpusStats:
     """Distinct-token vocabulary and mean word length per side, in one pass over ``pairs``.
 
     The pairs are also handed to ``sink``, a chunk at a time, when one is given.
@@ -464,7 +463,6 @@ def _build(
     configs: Sequence[SelectorConfig],
     profile: LanguageProfile,
     workers: int,
-    score_all: bool,
     sinks: Sequence[Optional[Sink]],
 ) -> list[SimplificationCorpus]:
     """Decide the pairs a chunk at a time and hand each configuration's kept pairs to its sink.
@@ -476,7 +474,7 @@ def _build(
         _Collector(pairs if sink is None else sink, config.dedup)
         for config, sink, pairs in zip(configs, sinks, kept)
     ]
-    decide = partial(_decide_chunk, configs, profile, score_all)
+    decide = partial(_decide_chunk, configs, profile)
     aligned = _aligned(bitext_targets, translations)
     # (index of the first pair, pairs) per chunk; only the last chunk can be short.
     chunks = zip(count(0, CHUNK_SIZE), iter(lambda: list(islice(aligned, CHUNK_SIZE)), []))
@@ -504,7 +502,7 @@ def build_corpus(
     The kept pairs are collected in the corpus's ``pairs`` list, or, with a
     ``sink``, handed to it as they are decided; ``pairs`` is then empty.
     """
-    (corpus,) = _build(bitext_targets, translations, (config,), profile, workers, False, (sink,))
+    (corpus,) = _build(bitext_targets, translations, (config,), profile, workers, (sink,))
     return corpus
 
 
@@ -534,7 +532,7 @@ def ablate(
         replace(base, enable_bleu=True, enable_fres=True),
     )
     variant_sinks = [None if sinks is None else sinks[name] for name in ABLATION_VARIANTS]
-    corpora = _build(bitext_targets, translations, configs, profile, workers, True, variant_sinks)
+    corpora = _build(bitext_targets, translations, configs, profile, workers, variant_sinks)
     return dict(zip(ABLATION_VARIANTS, corpora))
 
 
@@ -553,6 +551,6 @@ def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCor
         pairs=pairs,
         lang=corpus.lang,
         config_snapshot=corpus.config_snapshot,
-        stats=compute_corpus_stats(pairs, get_profile(corpus.lang)),
+        stats=compute_corpus_stats(pairs),
         drop_tally=None,
     )

@@ -40,7 +40,7 @@ from sscorpus.pipeline import (
     SimplificationCorpus,
     compute_corpus_stats,
 )
-from sscorpus.textprep import LanguageProfile, get_profile
+from sscorpus.textprep import LanguageProfile
 
 
 _SENTINEL = object()
@@ -174,7 +174,7 @@ def oracle_build(
     scored = (score_pair(p, config, profile) for p in generate_pseudo_pairs(targets, translations))
     kept = list(_decide(scored, config, tally))
     return SimplificationCorpus(
-        kept, profile.lang_code, config, compute_corpus_stats(kept, profile), tally
+        kept, profile.lang_code, config, compute_corpus_stats(kept), tally
     )
 
 
@@ -195,7 +195,7 @@ def oracle_ablate(
         tally = DropTally()
         kept = list(_decide(scored, variant_config, tally))
         variants[name] = SimplificationCorpus(
-            kept, profile.lang_code, variant_config, compute_corpus_stats(kept, profile), tally
+            kept, profile.lang_code, variant_config, compute_corpus_stats(kept), tally
         )
     return variants
 
@@ -349,7 +349,7 @@ def read_corpus(prefix: Path | str, format: str = "plain") -> SimplificationCorp
         pairs=pairs,
         lang=lang,
         config_snapshot=config,
-        stats=compute_corpus_stats(pairs, get_profile(lang)),
+        stats=compute_corpus_stats(pairs),
         drop_tally=tally,
     )
 
@@ -365,6 +365,6 @@ def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCor
         pairs=pairs,
         lang=corpus.lang,
         config_snapshot=corpus.config_snapshot,
-        stats=compute_corpus_stats(pairs, get_profile(corpus.lang)),
+        stats=compute_corpus_stats(pairs),
         drop_tally=None,
     )

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import tempfile
 import unicodedata
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -244,6 +246,24 @@ class TestCorpusPersistence:
         with pytest.raises(FileNotFoundError):
             read_corpus(tmp_path / "out")
 
+    def test_a_language_that_could_not_be_read_back_is_refused(self, tmp_path):
+        # read_meta takes back only a shipped profile's name, so no such corpus is written.
+        custom = replace(EN, lang_code="en-custom")
+        targets, translations = make_aligned_streams(40, seed=31)
+        corpus = build_corpus(targets, translations, SelectorConfig(), custom)
+        assert corpus.pairs
+        meta_path = re.escape(str(tmp_path / "out.meta.json"))
+        with pytest.raises(ValueError, match=rf"^{meta_path}: unknown language profile 'en-custom'"):
+            write_corpus(corpus, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+        meta_path = re.escape(str(tmp_path / "new" / "out.meta.json"))
+        with pytest.raises(ValueError, match=rf"^{meta_path}: unknown language profile 'en-custom'"):
+            with writing([tmp_path / "new" / "out"], "tsv") as (writer,):
+                streamed = build_corpus(targets, translations, SelectorConfig(), custom, sink=writer)
+                assert streamed.stats == corpus.stats
+                writer.close(streamed)
+        assert list(tmp_path.iterdir()) == []
+
     def test_tsv_keeps_carriage_return_and_rejects_tab(self, tmp_path):
         kept = text_corpus([("a\rb", "c d")])
         write_corpus(kept, tmp_path / "cr", format="tsv")
@@ -281,7 +301,7 @@ class TestCorpusPersistence:
             for prefix in ("new", "old"):
                 with pytest.raises(KeyboardInterrupt):
                     with CorpusWriter(tmp_path / prefix, format) as writer:
-                        writer.append(corpus.pairs[0])
+                        writer.extend([corpus.pairs[0]])
                         writer.close(corpus)  # complete under temporary names
                         raise KeyboardInterrupt
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
@@ -336,7 +356,7 @@ class TestCorpusPersistence:
         foreign = tmp_path / "out" / f"c.meta.json.{os.getpid()}.tmp"
         with pytest.raises(KeyboardInterrupt):
             with writing([tmp_path / "out" / "c"], "plain") as (writer,):
-                writer.append(corpus.pairs[0])
+                writer.extend([corpus.pairs[0]])
                 foreign.mkdir()
                 raise KeyboardInterrupt
         assert sorted(tmp_path.rglob("*")) == [tmp_path / "out", foreign]
@@ -359,7 +379,7 @@ class TestCorpusPersistence:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         with writing([tmp_path / "new" / "a", tmp_path / "new" / "b"], "tsv") as writers:
             for writer in writers:
-                writer.append(corpus.pairs[0])
+                writer.extend([corpus.pairs[0]])
                 writer.close(corpus)
         assert sorted(p.name for p in (tmp_path / "new").iterdir()) == [
             "a.meta.json", "a.tsv", "b.meta.json", "b.tsv"
@@ -374,7 +394,7 @@ def text_corpus(sentence_pairs) -> SimplificationCorpus:
         LabeledPair(complex, simple, 0.0, "unlabeled", index)
         for index, (complex, simple) in enumerate(sentence_pairs)
     ]
-    return SimplificationCorpus(pairs, "en", SelectorConfig(), compute_corpus_stats(pairs, EN))
+    return SimplificationCorpus(pairs, "en", SelectorConfig(), compute_corpus_stats(pairs))
 
 
 def readable(text: str, format: str) -> bool:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from synth import make_aligned_streams
@@ -5,6 +7,7 @@ from synth import make_aligned_streams
 from sscorpus import pipeline
 from sscorpus.metrics import fres, sentence_bleu
 from sscorpus.pipeline import (
+    ABLATION_VARIANTS,
     SelectorConfig,
     SentencePair,
     ablate,
@@ -241,6 +244,23 @@ class TestBuildCorpus:
             (p.complex, p.simple, p.bleu) for p in four.pairs
         ]
 
+    def test_a_custom_profile_reaches_the_workers_by_value(self):
+        # Not shipped, so it reaches a worker pickled by value (see test_textprep), not by name.
+        custom = replace(EN, lang_code="en-custom", k2=1.3, k3=70.0)
+        targets, translations = make_aligned_streams(200, seed=13)
+        config = SelectorConfig()
+        one = build_corpus(targets, translations, config, custom, workers=1)
+        two = build_corpus(targets, translations, config, custom, workers=2)
+        assert one.lang == two.lang == "en-custom"
+        assert (one.pairs, one.stats, one.drop_tally) == (two.pairs, two.stats, two.drop_tally)
+        # The coefficients set every reading ease, so the shipped profile gives other pairs.
+        assert one.pairs != build_corpus(targets, translations, config, EN).pairs
+        variants = [ablate(targets, translations, custom, workers=n) for n in (1, 2)]
+        for name in ABLATION_VARIANTS:
+            in_process, pooled = (corpora[name] for corpora in variants)
+            assert in_process.pairs and in_process.pairs == pooled.pairs, name
+            assert (in_process.stats, in_process.drop_tally) == (pooled.stats, pooled.drop_tally)
+
 
 class TestFilterAlgebra:
     def test_filters_commute(self):
@@ -342,7 +362,7 @@ class TestCorpusStats:
             LabeledPair("a b", "x", 0.0, "unlabeled", 0),
             LabeledPair("a c", "y z", 0.0, "unlabeled", 1),
         ]
-        stats = compute_corpus_stats(pairs, EN)
+        stats = compute_corpus_stats(pairs)
         assert stats.vocab_complex == 3
         assert stats.vocab_simple == 3
         assert stats.avg_len_complex == pytest.approx(2.0)
@@ -351,13 +371,13 @@ class TestCorpusStats:
 
     def test_empty_corpus_is_all_zeros(self):
         corpus = build_corpus([], [], SelectorConfig(), EN)
-        stats = compute_corpus_stats(corpus.pairs, get_profile(corpus.lang))
+        stats = compute_corpus_stats(corpus.pairs)
         assert (stats.vocab_complex, stats.vocab_simple, stats.total_pairs) == (0, 0, 0)
         assert stats.avg_len_complex == 0.0
 
     def test_vocabulary_is_case_sensitive(self):
         pairs = [LabeledPair("The the", "x", 0.0, "unlabeled", 0)]
-        assert compute_corpus_stats(pairs, EN).vocab_complex == 2
+        assert compute_corpus_stats(pairs).vocab_complex == 2
 
 
 @pytest.fixture
@@ -404,7 +424,7 @@ class TestOneComputationPerScheme:
         corpus = build_corpus(targets, translations, config, EN)
         assert scheme_calls["text_stats"] == 0
         assert scheme_calls["tokenize_words"] == 2 * len(corpus.pairs) > 0
-        assert corpus.stats == compute_corpus_stats(corpus.pairs, EN)
+        assert corpus.stats == compute_corpus_stats(corpus.pairs)
 
     def test_a_pre_scored_bleu_is_used_as_given(self, scheme_calls):
         source = "Zebras are running extraordinarily energetically nowadays."

@@ -105,7 +105,7 @@ def test_accumulated_stats_match_recomputed_stats(h_bleu, h_fres):
     # produced; recomputing them from the kept pairs must agree.
     for config in _configs(h_bleu, h_fres):
         corpus = build_corpus(TARGETS, TRANSLATIONS, config, EN)
-        assert corpus.stats == compute_corpus_stats(corpus.pairs, EN), config
+        assert corpus.stats == compute_corpus_stats(corpus.pairs), config
         assert corpus.stats == kernel_oracle.compute_corpus_stats(corpus.pairs, EN), config
 
 
