@@ -282,6 +282,10 @@ class CorpusWriter:
                         f"pair {pair.index}: sentence {text!r} has a tab or line break "
                         f"that the {self.format} format cannot hold"
                     )
+                if not text.isascii() and text != unicodedata.normalize(
+                    "NFC", text.encode(errors="replace").decode()  # "?" for a lone surrogate
+                ):
+                    raise ValueError(f"pair {pair.index}: sentence {text!r} is not NFC UTF-8 text")
         if tsv:
             rows = []
             for pair in pairs:

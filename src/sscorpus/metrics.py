@@ -7,17 +7,17 @@ the de facto standard tool behavior: lowercased 13a tokens,
 reference-count weighting, F1 for keep/add and precision for delete,
 averaged over n-gram orders 1..4 and then over the three operations.
 
-BLEU and SARI share one n-gram kernel: a plain dict counting the n-grams of
-every order of a sentence, each keyed by its token tuple, one order at a time
-through ``Counter.update``'s C helper (SARI's references count into one pooled
-dict, one after another). Within one order a dict lists its n-grams in
-first-occurrence order, and SARI's per-order float sums add their terms in that
-order. A BLEU hypothesis whose tokens equal a reference's builds no counter:
-that reference clips none of its n-grams and is the closest length. BLEU and
-SARI tokenize each distinct string of an item once, BLEU leaves out repeated
-references, and ``evaluate`` calls the four corpus metrics. Lowercased tokens
-are not derived from cased ones: the 13a rules do not commute with lowercasing
-(``<SKIPPED>``, ``&QUOT;`` and ``ΑΣ:Β`` differ).
+BLEU clips by set membership, one n-gram order at a time: a distinct hypothesis
+n-gram matches once if some reference has it (one set difference), and only one
+the hypothesis repeats is counted in each reference. No reference n-gram is
+counted; a hypothesis whose tokens equal a reference's skips the matching. SARI
+counts n-grams into plain dicts through ``Counter.update``'s C helper, its
+references pooled into one; its per-order float sums add their terms in a
+dict's first-occurrence order. BLEU and SARI tokenize each distinct string of
+an item once, BLEU leaves out repeated references, and ``evaluate`` calls the
+four corpus metrics. Lowercased tokens are not derived from cased ones: the 13a
+rules do not commute with lowercasing (``<SKIPPED>``, ``&QUOT;`` and ``ΑΣ:Β``
+differ).
 """
 
 from __future__ import annotations
@@ -206,37 +206,27 @@ def _ngram_counts(tokens: Sequence[str], max_order: int, counts: dict | None = N
     return counts
 
 
-def _accumulate_bleu_stats(
-    hyp_tokens: Sequence[str],
-    refs_tokens: Sequence[Sequence[str]],
-    correct: list[int],
-    total: list[int],
-    max_order: int,
-) -> tuple[int, int]:
-    hyp_len = len(hyp_tokens)
-    orders = range(1, min(max_order, hyp_len) + 1)
+def _clipped_matches(
+    hyp: Sequence[str], refs: Sequence[Sequence[str]], correct: list[int], orders: range
+) -> None:
+    """Add each order's clipped hypothesis n-gram matches to ``correct``."""
+    grams, refs_grams = hyp, refs  # unigrams are tokens
     for n in orders:
-        total[n - 1] += hyp_len - n + 1
-    if hyp_tokens in refs_tokens:
-        # That reference clips no n-gram and is the closest length: no counter needed.
-        for n in orders:
-            correct[n - 1] += hyp_len - n + 1
-        return hyp_len, hyp_len
-    # Modified precision: each hypothesis n-gram is clipped to its largest
-    # count in any one reference.
-    ref_counts = _ngram_counts(refs_tokens[0], max_order)
-    in_ref = ref_counts.get
-    for ref in refs_tokens[1:]:
-        for gram, count in _ngram_counts(ref, max_order).items():
-            if count > in_ref(gram, 0):
-                ref_counts[gram] = count
-    for gram, count in _ngram_counts(hyp_tokens, max_order).items():
-        ref_count = in_ref(gram)
-        if ref_count:
-            correct[len(gram) - 1] += count if count < ref_count else ref_count
-    # The closest reference length; ties go to the shorter reference.
-    closest_len = min((abs(hyp_len - len(ref)), len(ref)) for ref in refs_tokens)[1]
-    return hyp_len, closest_len
+        if n > 1:  # an order-n gram is an (order n-1 gram, token) pair
+            grams = list(zip(grams, hyp[n - 1:]))
+            refs_grams = [list(zip(prev, ref[n - 1:])) for prev, ref in zip(refs_grams, refs)]
+        distinct = set(grams)  # each matches once if some reference has it
+        unmatched = distinct.difference(*refs_grams)
+        matched = len(distinct) - len(unmatched)
+        if not matched:  # nor can any longer n-gram
+            return
+        if len(distinct) < len(grams):
+            counts: dict = {}  # only a repeated n-gram is counted in each reference
+            _count_elements(counts, grams)
+            for gram, count in counts.items():
+                if count > 1 and gram not in unmatched:
+                    matched += min(count, max([ref.count(gram) for ref in refs_grams])) - 1
+        correct[n - 1] += matched
 
 
 def _log(value: float) -> float:
@@ -284,16 +274,22 @@ def _token_bleu(
     Every item needs at least one reference. One item with ``effective_order``
     is sentence BLEU; many items without it are corpus BLEU.
     """
-    correct = [0] * max_order
-    total = [0] * max_order
-    sys_len = 0
-    ref_len = 0
+    correct, total = [0] * max_order, [0] * max_order
+    sys_len = ref_len = 0
     for hyp_tokens, refs_tokens in items:
-        item_sys, item_ref = _accumulate_bleu_stats(
-            hyp_tokens, refs_tokens, correct, total, max_order
-        )
-        sys_len += item_sys
-        ref_len += item_ref
+        hyp_len = len(hyp_tokens)
+        sys_len += hyp_len
+        orders = range(1, min(max_order, hyp_len) + 1)
+        for n in orders:
+            total[n - 1] += hyp_len - n + 1
+        if hyp_tokens in refs_tokens:  # that reference clips no n-gram and is the closest length
+            ref_len += hyp_len
+            for n in orders:
+                correct[n - 1] += hyp_len - n + 1
+        else:
+            _clipped_matches(hyp_tokens, refs_tokens, correct, orders)
+            # The closest reference length; ties go to the shorter reference.
+            ref_len += min((abs(hyp_len - len(ref)), len(ref)) for ref in refs_tokens)[1]
     return _bleu_score(correct, total, sys_len, ref_len, max_order, effective_order)
 
 

@@ -225,6 +225,31 @@ def test_bleu_leaves_out_repeated_references_exactly(items, max_order):
     assert got == oracle.corpus_bleu(hypotheses, references, max_order)
 
 
+@st.composite
+def _repeating_ngrams(draw):
+    """(hypothesis, references) over two or three words, so the hypothesis repeats n-grams of
+    every order and each n-gram's largest count sits in a different reference."""
+    word = st.sampled_from(draw(st.sampled_from([["a", "b"], ["a", "b", "c"]])))
+    hypothesis = " ".join(draw(st.lists(word, min_size=1, max_size=16)))
+    references = draw(st.lists(st.lists(word, max_size=12).map(" ".join), min_size=2, max_size=10))
+    return hypothesis, references
+
+
+@given(st.lists(_repeating_ngrams(), min_size=1, max_size=6), st.integers(1, 5))
+@example([("a a a", ["a", "a a"])], 1)  # 2 unigrams match, not 3 and not 1
+@example([("a a a a", ["a a", "a a a", "b a"])], 2)  # the counts of one reference, not their sum
+@example([("a b a b a b", ["a b a", "b a b a b", "a a b b"])], 4)
+@example([("a a b b a a b b", ["a a a", "b b", "a b b a a b", "c"]), ("c c c", ["c", "c c"])], 3)
+@settings(max_examples=300)
+def test_bleu_clips_repeated_ngrams_to_one_reference(items, max_order):
+    for hypothesis, references in items:
+        _assert_bleu_equal(hypothesis, references, max_order)
+    hypotheses = [hypothesis for hypothesis, _ in items]
+    references = [refs for _, refs in items]
+    got = corpus_bleu(hypotheses, references, max_order)
+    assert got == oracle.corpus_bleu(hypotheses, references, max_order)
+
+
 @given(TEXT)
 @settings(max_examples=500)
 def test_text_stats_every_profile(text):

@@ -18,7 +18,7 @@ from sscorpus.metrics import (
     sari,
     sentence_bleu,
 )
-from sscorpus.textprep import get_profile
+from sscorpus.textprep import get_profile, metric_tokens
 
 EN = get_profile("en")
 FR = get_profile("fr")
@@ -381,48 +381,40 @@ class TestOneTokenizationPerCasing:
 
 
 @pytest.fixture
-def bleu_counters(monkeypatch):
-    """The number of n-gram counters built within each BLEU statistics call, in call order."""
-    built: list[int] = []
-    in_bleu = False
-    count_ngrams, accumulate = metrics._ngram_counts, metrics._accumulate_bleu_stats
+def bleu_matched(monkeypatch):
+    """The hypothesis tokens of each BLEU item that went through n-gram matching, in call order."""
+    matched: list[list[str]] = []
+    clipped_matches = metrics._clipped_matches
 
-    def counted(*args):
-        if in_bleu:
-            built[-1] += 1
-        return count_ngrams(*args)
+    def recorded(hyp, *args):
+        matched.append(hyp)
+        return clipped_matches(hyp, *args)
 
-    def accumulating(*args):
-        nonlocal in_bleu
-        built.append(0)
-        in_bleu = True
-        try:
-            return accumulate(*args)
-        finally:
-            in_bleu = False
-
-    monkeypatch.setattr(metrics, "_ngram_counts", counted)
-    monkeypatch.setattr(metrics, "_accumulate_bleu_stats", accumulating)
-    return built
+    monkeypatch.setattr(metrics, "_clipped_matches", recorded)
+    return matched
 
 
 class TestNoCounterForSelfReference:
-    """A BLEU hypothesis whose tokens equal a reference's is scored without n-gram counters."""
+    """A BLEU hypothesis whose tokens equal a reference's is scored without n-gram matching."""
 
-    def test_reference_hypotheses_build_no_bleu_counter(self, bleu_counters):
+    def test_reference_hypotheses_build_no_bleu_counter(self, bleu_matched):
         sources, references = read_eval_dataset(_EVAL_DATA / "turkcorpus")
         evaluate(sources, [refs[0] for refs in references], references, EN)
-        assert bleu_counters == [0] * len(sources)
+        assert bleu_matched == []
 
-    def test_sources_among_their_references_build_no_bleu_counter(self, bleu_counters):
+    def test_sources_among_their_references_build_no_bleu_counter(self, bleu_matched):
         sources, references = read_eval_dataset(_EVAL_DATA / "turkcorpus")
         evaluate(sources, sources, references, EN)
-        assert len(bleu_counters) == len(sources)
         own = [i for i, (source, refs) in enumerate(zip(sources, references)) if source in refs]
         assert len(own) == 249
-        assert [bleu_counters[i] for i in own] == [0] * len(own)
-        # The rest count their distinct references and the hypothesis, save 14 sources
-        # that differ from a reference in text but not in tokens.
-        full = [len(set(refs)) + 1 for refs in references]
-        assert sum(b == f for b, f in zip(bleu_counters, full)) == len(sources) - len(own) - 14
-        assert bleu_counters.count(0) == len(own) + 14
+        # 14 more sources differ from a reference in text but not in tokens.
+        respaced = [
+            i for i, (source, refs) in enumerate(zip(sources, references))
+            if i not in own and metric_tokens(source) in map(metric_tokens, refs)
+        ]
+        assert len(respaced) == 14
+        # Every other item, and only those, goes through the matching, in item order.
+        skipped = set(own + respaced)
+        expected = [metric_tokens(s) for i, s in enumerate(sources) if i not in skipped]
+        assert bleu_matched == expected
+        assert len(bleu_matched) == len(sources) - 249 - 14
