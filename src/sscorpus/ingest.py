@@ -2,11 +2,13 @@
 
 All text, file lines and translator output alike, is decoded as strict
 UTF-8 and normalized to Unicode NFC on read, so downstream equality checks
-and tokenization are stable. Readers and the corpus writer stream, so the
-command line's ``build``, ``ablate``, ``stats`` and ``subset`` keep no
-whole corpus in memory; only :func:`read_corpus`, which returns one, and
-the small evaluation datasets are held whole. Every corpus is committed by
-one :func:`writing` block, and a failed run removes only what it created.
+and tokenization are stable. The translator is a child process; one selector
+loop on its two POSIX pipes writes the next batch while it reads the current
+one, with no thread. Readers and the corpus writer stream, so the command
+line's ``build``, ``ablate``, ``stats`` and ``subset`` keep no whole corpus
+in memory; only :func:`read_corpus`, which returns one, and the small
+evaluation datasets are held whole. Every corpus is committed by one
+:func:`writing` block, and a failed run removes only what it created.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import unicodedata
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -101,105 +103,95 @@ def open_aligned(first: Path, *others: Path) -> tuple[Iterator[str], ...]:
 
 def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
     """Run the translator over ``lines``; one translation per input line, in order."""
-    import queue, shlex, subprocess, threading, time
+    import selectors, shlex, subprocess, time
 
-    timeout = source.timeout
+    timeout, size = source.timeout, source.batch_size
     args = shlex.split(source.command)
     proc = subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    eof = object()
-    out_queue: queue.Queue = queue.Queue()
-    in_queue: queue.Queue = queue.Queue(maxsize=2)  # one batch of read-ahead
+    unsent = bytearray()  # stdin is registered for writing while this is not empty
+    received: list[bytes] = []  # complete output lines not yet handed out
+    partial = bytearray()  # the output line still being read
 
-    # Each pipe is closed by the thread that uses it: closing it from another
-    # thread would block on a pending read or break a pending write.
-    def read_stdout():
-        with proc.stdout:
-            for raw in proc.stdout:
-                out_queue.put(raw)
-        out_queue.put(eof)
-
-    def write_stdin():
-        # An OSError means the child died, which the reader side reports, or
-        # that closing left lines unflushed to a dead child.
-        with suppress(OSError), proc.stdin:
-            while (batch := in_queue.get()) is not None:
-                for line in batch:
-                    proc.stdin.write((line + "\n").encode("utf-8"))
-                proc.stdin.flush()
+    def pump(needed: int, late: str) -> bool:
+        """Move bytes both ways until ``needed`` lines are in; False if the output ends first."""
+        deadline = time.monotonic() + timeout
+        while len(received) < needed and not proc.stdout.closed:
+            events = selector.select(deadline - time.monotonic())
+            if not events:
+                raise RuntimeError("translator " + late)
+            for key, _ in events:
+                if key.fileobj is proc.stdin:
+                    try:
+                        del unsent[: os.write(key.fd, unsent)]
+                    except BrokenPipeError:
+                        unsent.clear()  # the child's output and exit code report why
+                    if not unsent:
+                        selector.unregister(proc.stdin)
+                        if not ahead:  # no batch follows: end the child's input
+                            proc.stdin.close()
+                elif chunk := os.read(key.fd, 1 << 16):
+                    partial.extend(chunk)
+                    if b"\n" in chunk:  # split only at a line end: a long line reads in linear time
+                        *complete, rest = partial.split(b"\n")
+                        received.extend(complete)
+                        partial[:] = rest
+                else:  # end of output; a last line without a newline still counts
+                    selector.unregister(proc.stdout)
+                    proc.stdout.close()
+                    if partial:
+                        received.append(partial)
+        return len(received) >= needed
 
     def finish(when: str, where: str = "") -> None:
         # The translator closed its stdout; it should exit right after, and cleanly.
         try:
             proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
-            proc.kill()
             raise RuntimeError(
                 f"translator closed its output {when} but did not exit within {timeout:g}s"
             ) from None
         if proc.returncode:
             raise RuntimeError(f"translator command failed with exit code {proc.returncode}{where}")
 
-    threading.Thread(target=read_stdout, daemon=True).start()
-    threading.Thread(target=write_stdin, daemon=True).start()
-
-    def drain(batch: list[str], batch_index: int, start_line: int) -> list[str]:
-        deadline = time.monotonic() + timeout
-        results = []
-        for _ in batch:
-            remaining = deadline - time.monotonic()
-            try:
-                raw = out_queue.get(timeout=max(remaining, 0.001))
-            except queue.Empty:
-                proc.kill()
-                raise RuntimeError(
-                    f"translator timed out after {timeout:g}s at batch {batch_index} "
-                    f"(lines {start_line}-{start_line + len(batch) - 1})"
-                ) from None
-            if raw is eof:
-                finish(f"at batch {batch_index}", f" at batch {batch_index}")
-                raise RuntimeError(
-                    f"translator produced {len(results)} lines for batch {batch_index} "
-                    f"(expected {len(batch)}, lines {start_line}-{start_line + len(batch) - 1})"
-                )
-            results.append(_decode(raw, "translator output", start_line + len(results)))
-        return results
-
-    try:
-        line_iter = iter(lines)
-        pending: Optional[tuple[list[str], int, int]] = None
-        batch_index = 0
-        line_offset = 1
-        while True:
-            batch = list(islice(line_iter, source.batch_size))
-            if batch:
-                in_queue.put(batch)
-            else:
-                in_queue.put(None)
-            if pending is not None:
-                yield from drain(*pending)
-            if not batch:
-                break
-            pending = (batch, batch_index, line_offset)
-            batch_index += 1
-            line_offset += len(batch)
-
-        # All input consumed; any further output means the command is misbehaving.
+    with proc, selectors.DefaultSelector() as selector:  # exit closes the pipes, reaps the child
         try:
-            leftover = out_queue.get(timeout=timeout)
-        except queue.Empty:
-            raise RuntimeError(
-                f"translator did not exit within {timeout:g}s after the last batch"
-            ) from None
-        if leftover is not eof:
-            proc.kill()
-            raise RuntimeError("translator produced more output lines than input lines")
-        finish("after the last batch")
-    finally:
-        with suppress(queue.Full):
-            in_queue.put_nowait(None)  # unblock the writer thread on error paths
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+            os.set_blocking(proc.stdin.fileno(), False)
+            selector.register(proc.stdout, selectors.EVENT_READ)
+            line_iter = iter(lines)
+            batch: list[str] = []
+            # Batch k+1 is queued before batch k is pumped: one batch of read-ahead.
+            for k in count(-1):
+                ahead = list(islice(line_iter, size))
+                if ahead:
+                    if not unsent:
+                        selector.register(proc.stdin, selectors.EVENT_WRITE)
+                    unsent.extend("".join(line + "\n" for line in ahead).encode("utf-8"))
+                elif not unsent:
+                    proc.stdin.close()
+                if batch:
+                    first, last = k * size + 1, k * size + len(batch)
+                    late = f"timed out after {timeout:g}s at batch {k} (lines {first}-{last})"
+                    if not pump(len(batch), late):
+                        finish(f"at batch {k}", f" at batch {k}")
+                        raise RuntimeError(
+                            f"translator produced {len(received)} lines for batch {k} "
+                            f"(expected {len(batch)}, lines {first}-{last})"
+                        )
+                    yield from [
+                        _decode(raw, "translator output", lineno)
+                        for lineno, raw in enumerate(received[: len(batch)], first)
+                    ]
+                    del received[: len(batch)]
+                if not ahead:
+                    break
+                batch = ahead
+
+            # All input consumed; any further output means the command is misbehaving.
+            if pump(1, f"did not exit within {timeout:g}s after the last batch"):
+                raise RuntimeError("translator produced more output lines than input lines")
+            finish("after the last batch")
+        finally:
+            proc.kill()  # a no-op once the child has exited
 
 
 def _format_score(value: Optional[float]) -> str:

@@ -403,11 +403,11 @@ def test_a_meta_file_without_a_format_is_read_in_the_requested_one(tmp_path, cap
 
 def test_import_loads_neither_multiprocessing_nor_hashlib():
     # A one-worker run pays for neither: the pool and the dedup digest import them late,
-    # and a run without a translator pays for none of the bridge's process and queue modules.
+    # and a run without a translator pays for none of the bridge's process and selector modules.
     src = str(Path(sscorpus.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    late = "{'multiprocessing', 'hashlib', 'subprocess', 'queue', 'shlex'}"
+    late = "{'multiprocessing', 'hashlib', 'subprocess', 'selectors', 'shlex'}"
     script = f"import sys, sscorpus.cli; print({late} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True

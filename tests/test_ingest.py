@@ -2,6 +2,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -174,6 +175,32 @@ class TestTranslate:
         source = TranslationSource(command, batch_size=4, timeout=0.5)
         with pytest.raises(RuntimeError, match=r"at batch 0 but did not exit within 0\.5s"):
             list(translate(iter(["a", "b", "c"]), source))
+
+    def test_external_batch_larger_than_both_pipe_buffers(self):
+        # 300 kB each way in one batch: the input cannot all be written before output is read.
+        lines = [f"{i:04d}" + "x" * 95 for i in range(3000)]
+        source = TranslationSource("cat", batch_size=3000)
+        assert list(translate(iter(lines), source)) == lines
+
+    def test_external_long_line(self):
+        lines = ["y" * (4 << 20), "short"]
+        source = TranslationSource("cat", batch_size=2)
+        assert list(translate(iter(lines), source)) == lines
+
+    def test_external_last_line_without_newline(self):
+        source = TranslationSource(r"""sh -c 'cat >/dev/null; printf "x\ny"'""", batch_size=2)
+        assert list(translate(iter(["a", "b"]), source)) == ["x", "y"]
+
+    def test_external_starts_no_thread(self):
+        before = threading.active_count()
+        translations = translate(iter(["a", "b", "c"]), TranslationSource("cat", batch_size=2))
+        assert next(translations) == "a"
+        assert threading.active_count() == before
+        assert list(translations) == ["b", "c"]
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="timed out"):
+            list(translate(iter(["a"]), TranslationSource("sleep 30", timeout=0.3)))
+        assert threading.active_count() == before
 
 
 class TestCorpusPersistence:
