@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import ingest, metrics, pipeline
 from .textprep import PROFILES, get_profile
@@ -41,7 +41,8 @@ def _positive_seconds(text: str) -> float:
 _positive_seconds.__name__ = "float"  # for "invalid float value" errors
 
 
-def _add_selector_args(parser: argparse.ArgumentParser) -> None:
+def _add_corpus_args(parser: argparse.ArgumentParser, out_help: str) -> None:
+    """The flags ``build`` and ``ablate`` share: selectors, inputs and output."""
     parser.add_argument("--lang", default="en", choices=sorted(PROFILES), help="language profile")
     parser.add_argument("--h-bleu", type=float, default=15.0, help="BLEU selector threshold")
     parser.add_argument("--h-fres", type=float, default=10.0, help="reading-ease gap threshold")
@@ -55,9 +56,6 @@ def _add_selector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dedup", action="store_true", help="drop exact duplicate (complex, simple) pairs"
     )
-
-
-def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--target", required=True, help="corpus-language sentences, one per line")
     parser.add_argument("--bridge", help="bridge-language sentences (for --translator-cmd)")
     parser.add_argument("--translations", help="precomputed translations, aligned to --target")
@@ -70,6 +68,8 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
         help="per-batch timeout, seconds",
     )
     parser.add_argument("--workers", type=_at_least(1), default=1, help="scoring worker processes")
+    parser.add_argument("--out", required=True, help=out_help)
+    parser.add_argument("--format", default="plain", choices=("plain", "tsv"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,10 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a labeled corpus from a bitext")
-    _add_selector_args(p_build)
-    _add_input_args(p_build)
-    p_build.add_argument("--out", required=True, help="output path prefix")
-    p_build.add_argument("--format", default="plain", choices=("plain", "tsv"))
+    _add_corpus_args(p_build, "output path prefix")
 
     p_eval = sub.add_parser("eval", help="score hypotheses against an evaluation dataset")
     p_eval.add_argument("--dataset", required=True, help="directory with <name>.src and <name>.ref.<i>")
@@ -98,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--format", default="plain", choices=("plain", "tsv"))
 
     p_ablate = sub.add_parser("ablate", help="build the four selector variants")
-    _add_selector_args(p_ablate)
-    _add_input_args(p_ablate)
-    p_ablate.add_argument("--out", required=True, help="output path prefix (variant suffix added)")
-    p_ablate.add_argument("--format", default="plain", choices=("plain", "tsv"))
+    _add_corpus_args(p_ablate, "output path prefix (variant suffix added)")
 
     p_subset = sub.add_parser("subset", help="sample a smaller corpus, order-preserving")
     p_subset.add_argument("--corpus", required=True, help="input corpus path prefix")
@@ -113,8 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _selector_config(args: argparse.Namespace) -> pipeline.SelectorConfig:
-    return pipeline.SelectorConfig(
+def _corpus_inputs(args: argparse.Namespace) -> tuple:
+    """The selector configuration, language profile, and aligned target and translation streams.
+
+    They are checked in that order, so a bad threshold is reported before any input is opened.
+    """
+    config = pipeline.SelectorConfig(
         h_bleu=args.h_bleu,
         h_fres=args.h_fres,
         enable_bleu=not args.no_bleu_selector,
@@ -122,20 +120,18 @@ def _selector_config(args: argparse.Namespace) -> pipeline.SelectorConfig:
         drop_identity=not args.keep_identity,
         dedup=args.dedup,
     )
-
-
-def _input_streams(args: argparse.Namespace) -> tuple[Iterable[str], Iterable[str]]:
+    profile = get_profile(args.lang)
     if bool(args.translations) == bool(args.translator_cmd):
         raise ValueError("exactly one of --translations or --translator-cmd is required")
     if args.translations:
-        return ingest.open_aligned(Path(args.target), Path(args.translations))
+        return config, profile, *ingest.open_aligned(Path(args.target), Path(args.translations))
     if not args.bridge:
         raise ValueError("--translator-cmd requires --bridge")
     source = ingest.TranslationSource(args.translator_cmd, args.batch_size, args.translator_timeout)
     targets, bridge = ingest.open_aligned(Path(args.target), Path(args.bridge))
     # The two sides are separate files, so each can be streamed on its own;
     # the translator is free to read bridge lines a batch ahead.
-    return targets, ingest.translate(bridge, source)
+    return config, profile, targets, ingest.translate(bridge, source)
 
 
 def _run_info(args: argparse.Namespace, extra: Optional[dict] = None) -> dict:
@@ -161,9 +157,7 @@ def _print_summary(tally: pipeline.DropTally) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    config = _selector_config(args)
-    profile = get_profile(args.lang)
-    targets, translations = _input_streams(args)
+    config, profile, targets, translations = _corpus_inputs(args)
     with ingest.writing([args.out], args.format) as (writer,):
         corpus = pipeline.build_corpus(
             targets, translations, config, profile, workers=args.workers, sink=writer
@@ -201,9 +195,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    config = _selector_config(args)
-    profile = get_profile(args.lang)
-    targets, translations = _input_streams(args)
+    config, profile, targets, translations = _corpus_inputs(args)
     # Every variant is complete under temporary names before any is renamed
     # into place, so a failed run leaves none of them behind.
     names = pipeline.ABLATION_VARIANTS

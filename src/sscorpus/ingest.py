@@ -318,7 +318,11 @@ def writing(prefixes: Iterable[Path | str], format: str = "plain") -> Iterator[l
     into place, and every ``meta.json`` last: a corpus whose ``meta.json`` is
     in place is complete. Nothing is renamed while a target is a directory or
     a file is missing, and on any error each writer removes what it created.
+    Prefixes that name the same files are an error, and then nothing is created.
     """
+    prefixes = list(prefixes)
+    if len({Path(prefix).resolve() for prefix in prefixes}) < len(prefixes):
+        raise ValueError(f"output prefixes name the same files: {', '.join(map(str, prefixes))}")
     with ExitStack() as stack:
         writers = [stack.enter_context(CorpusWriter(prefix, format)) for prefix in prefixes]
         yield writers

@@ -328,11 +328,10 @@ def _decide_chunk(
     scored fully and every kept pair carries all three scores. Returns the
     chunk's kept pairs as LabeledPair field tuples with their (complex,
     simple) word counts, and per configuration a record: its drop counts by
-    DropTally field, the positions of its kept pairs, and their vocabulary.
+    DropTally field, the positions of its kept pairs, and each side's vocabulary.
     """
-    rows, words, complex_tokens, simple_tokens = [], [], [], []
-    drops: list[dict[str, int]] = [{} for _ in configs]
-    positions: list[list[int]] = [[] for _ in configs]
+    rows, words = [], []
+    records = [({}, [], set(), set()) for _ in configs]
     for index, (target, translation) in enumerate(chunk, start):
         source, translated = _Side(target, profile), _Side(translation, profile)
         if len(configs) > 1:  # the configurations share kept records, which carry every score
@@ -344,19 +343,15 @@ def _decide_chunk(
         for row, complex_side, simple_side in kept:
             rows.append(row)
             words.append((complex_side.n_words(), simple_side.n_words()))
-            complex_tokens.append(complex_side.tokens())
-            simple_tokens.append(simple_side.tokens())
-        for config_drops, config_positions, decision in zip(drops, positions, decisions):
+        for (drops, positions, vocab_complex, vocab_simple), decision in zip(records, decisions):
             if isinstance(decision, int):
-                config_positions.append(first + decision)
+                positions.append(first + decision)
+                _, complex_side, simple_side = kept[decision]
+                vocab_complex.update(complex_side.tokens())
+                vocab_simple.update(simple_side.tokens())
             else:
-                config_drops[decision] = config_drops.get(decision, 0) + 1
-    token_lists = (complex_tokens, simple_tokens)
-    vocab = [
-        [set(chain.from_iterable(map(tokens.__getitem__, kept_rows))) for tokens in token_lists]
-        for kept_rows in positions
-    ]
-    return rows, words, list(zip(drops, positions, vocab))
+                drops[decision] = drops.get(decision, 0) + 1
+    return rows, words, records
 
 
 def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterator:
@@ -413,7 +408,7 @@ class _Collector:
         self, pairs: Sequence[LabeledPair], words: list[tuple[int, int]], record: tuple
     ) -> None:
         """Fold in one chunk's record; ``pairs`` and ``words`` are the chunk's kept pairs."""
-        drops, kept, (vocab_complex, vocab_simple) = record
+        drops, kept, vocab_complex, vocab_simple = record
         tally = self.tally
         tally.n_input += len(kept) + sum(drops.values())
         for reason, count in drops.items():
@@ -453,7 +448,7 @@ def compute_corpus_stats(pairs: Iterable[LabeledPair], sink: Optional[Sink] = No
         sides = [(pair.complex, pair.simple) for pair in chunk]
         words = [(len(tokenize_words(c).tokens), len(tokenize_words(s).tokens)) for c, s in sides]
         vocab = [set(chain.from_iterable(map(metric_tokens, side))) for side in zip(*sides)]
-        collector.merge(chunk, words, ({}, range(len(chunk)), vocab))
+        collector.merge(chunk, words, ({}, range(len(chunk)), *vocab))
     return collector.stats()
 
 

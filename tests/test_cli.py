@@ -10,7 +10,7 @@ import pytest
 from synth import write_aligned_files
 
 import sscorpus
-from sscorpus.cli import main
+from sscorpus.cli import build_parser, main
 from sscorpus.ingest import read_corpus
 
 
@@ -465,6 +465,24 @@ class TestAblate:
         code, _, _ = run(capsys, *argv)
         assert code == 1
         assert snapshot() == before
+
+    def test_takes_the_flags_and_defaults_of_build(self):
+        every_flag = [
+            "--lang", "fr", "--h-bleu", "20", "--h-fres", "5", "--no-bleu-selector",
+            "--no-fres-selector", "--keep-identity", "--dedup", "--target", "t", "--bridge", "b",
+            "--translations", "tr", "--translator-cmd", "cat", "--batch-size", "8",
+            "--translator-timeout", "2.5", "--workers", "3", "--out", "o", "--format", "tsv",
+        ]
+        parsed = []
+        for argv in (every_flag, ["--target", "t", "--out", "o"]):
+            build = vars(build_parser().parse_args(["build", *argv]))
+            ablate = vars(build_parser().parse_args(["ablate", *argv]))
+            assert (build.pop("command"), ablate.pop("command")) == ("build", "ablate")
+            assert build == ablate
+            parsed.append(build)
+        every, required = parsed
+        # Every flag was set away from its default, so every default was compared too.
+        assert [key for key in every if every[key] == required[key]] == ["target", "out"]
 
 
 class TestSubset:

@@ -414,6 +414,23 @@ class TestCorpusPersistence:
             corpus.pairs[0].complex
         ]
 
+    def test_two_prefixes_that_name_the_same_files_are_refused(self, tmp_path):
+        # Both writers would share temporary files, and the commit would fail halfway through.
+        corpus = self.build()
+        write_corpus(corpus, tmp_path / "out" / "x")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        for parent in ("out", "new"):
+            prefixes = [tmp_path / parent / "x", tmp_path / parent / ".." / parent / "x"]
+            message = f"{re.escape(str(prefixes[0]))}, {re.escape(str(prefixes[1]))}"
+            for format in ("plain", "tsv"):
+                with pytest.raises(ValueError, match=f"name the same files: {message}$"):
+                    with writing(prefixes, format) as writers:
+                        for writer in writers:
+                            writer.extend(corpus.pairs)
+                            writer.close(corpus)
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "out", *sorted(before)]
+        assert {p: p.read_bytes() for p in before} == before
+
 
 def text_corpus(sentence_pairs) -> SimplificationCorpus:
     pairs = [
