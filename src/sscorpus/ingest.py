@@ -116,8 +116,9 @@ def translate(lines: Iterable[str], source: TranslationSource) -> Iterator[str]:
         """Move bytes both ways until ``needed`` lines are in; False if the output ends first."""
         deadline = time.monotonic() + timeout
         while len(received) < needed and not proc.stdout.closed:
-            events = selector.select(deadline - time.monotonic())
-            if not events:
+            # epoll waits at most 2**31 - 1 ms at once, so a long timeout waits a day at a time.
+            events = selector.select(min(deadline - time.monotonic(), 86400))
+            if not events and time.monotonic() >= deadline:
                 raise RuntimeError("translator " + late)
             for key, _ in events:
                 if key.fileobj is proc.stdin:

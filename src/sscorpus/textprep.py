@@ -52,13 +52,6 @@ class LanguageProfile:
     # accented i/u count as strong because the accent breaks the diphthong.
     strong_vowels: frozenset[str] = frozenset()
 
-    def __reduce_ex__(self, protocol):
-        # A shipped profile unpickles, in a worker process too, as the shipped object, which the
-        # syllable cache finds by identity instead of comparing every field on each text.
-        if PROFILES.get(self.lang_code) is self:
-            return get_profile, (self.lang_code,)
-        return super().__reduce_ex__(protocol)
-
 
 _EN_VOWELS = frozenset("aeiouy")
 _FR_VOWELS = frozenset("aeiouyàâéèêëîïôùûü")
@@ -175,13 +168,16 @@ def split_sentences(text: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _syllable_counter(profile: LanguageProfile) -> Callable[[str], int]:
-    """:func:`count_syllables` for one profile, with its own word cache.
+def _syllable_counter(
+    vowels: frozenset[str], silent_final_e: bool, strong: frozenset[str]
+) -> Callable[[str], int]:
+    """:func:`count_syllables` for one set of vowel rules, with its own word cache.
 
-    Keying the cache by word alone hashes the profile once per text, not
-    once per word.
+    Keyed by the three profile fields the count reads (``strong`` is
+    ``strong_vowels``), whose hashes are stored, not by the whole profile: an
+    unpickled copy, or another profile with the same rules, finds the same cache.
     """
-    vowel_re = re.compile("[{}]+".format("".join(sorted(profile.vowels))))
+    vowel_re = re.compile("[{}]+".format("".join(sorted(vowels))))
 
     # lru_cache here is load-bearing for throughput: corpus text repeats words heavily.
     @lru_cache(maxsize=2**17)
@@ -192,17 +188,16 @@ def _syllable_counter(profile: LanguageProfile) -> Callable[[str], int]:
             if not clusters:
                 continue
             count = len(clusters)
-            if profile.strong_vowels:
-                strong = profile.strong_vowels
+            if strong:
                 for cluster in clusters:
                     count += sum(
                         1 for a, b in zip(cluster, cluster[1:]) if a in strong and b in strong
                     )
             if (
-                profile.silent_final_e
+                silent_final_e
                 and count > 1
                 and part.endswith("e")
-                and (len(part) < 2 or part[-2] not in profile.vowels)
+                and (len(part) < 2 or part[-2] not in vowels)
             ):
                 count -= 1
             total += count
@@ -217,7 +212,7 @@ def count_syllables(word: str, profile: LanguageProfile) -> int:
     Hyphen/apostrophe parts are counted separately so compounds add up;
     words without vowel letters (digits, initialisms) count as one syllable.
     """
-    return _syllable_counter(profile)(word)
+    return _syllable_counter(profile.vowels, profile.silent_final_e, profile.strong_vowels)(word)
 
 
 def text_stats(text: str, profile: LanguageProfile) -> TextStats:
@@ -226,4 +221,5 @@ def text_stats(text: str, profile: LanguageProfile) -> TextStats:
     if not words:
         return TextStats(0, split_sentences(text), 0)
     n_sentences = max(split_sentences(text), 1)
-    return TextStats(len(words), n_sentences, sum(map(_syllable_counter(profile), words)))
+    counter = _syllable_counter(profile.vowels, profile.silent_final_e, profile.strong_vowels)
+    return TextStats(len(words), n_sentences, sum(map(counter, words)))

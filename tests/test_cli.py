@@ -197,6 +197,14 @@ class TestBuild:
         meta = json.loads((tmp_path / "mt.meta.json").read_text(encoding="utf-8"))
         assert meta["run"]["translator_timeout"] == 2.5
 
+    def test_long_translator_timeout(self, tmp_path, capsys):
+        target, translations = write_aligned_files(tmp_path, 10)
+        code, _, stderr = run(
+            capsys, "build", "--target", str(target), "--bridge", str(translations),
+            "--translator-cmd", "cat", "--translator-timeout", "1e10", "--out", str(tmp_path / "mt"),
+        )
+        assert (code, stderr) == (0, "")
+
     def test_translations_and_translator_cmd_are_exclusive(self, tmp_path, capsys):
         target, translations = write_aligned_files(tmp_path, 5)
         code, _, stderr = run(

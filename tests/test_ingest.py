@@ -157,6 +157,11 @@ class TestTranslate:
         with pytest.raises(RuntimeError, match="timed out"):
             list(translate(iter(["a", "b"]), source))
 
+    def test_external_timeout_longer_than_one_wait(self):
+        # 1e10 s is far beyond the longest single epoll wait, 2**31 - 1 ms.
+        source = TranslationSource("cat", batch_size=2, timeout=1e10)
+        assert list(translate(iter(["a", "b", "c"]), source)) == ["a", "b", "c"]
+
     def test_external_open_after_last_batch(self):
         # Answers every line, then keeps stdout open instead of exiting.
         source = TranslationSource("sh -c 'cat; exec sleep 30'", batch_size=2, timeout=0.5)

@@ -245,7 +245,7 @@ class TestBuildCorpus:
         ]
 
     def test_a_custom_profile_reaches_the_workers_by_value(self):
-        # Not shipped, so it reaches a worker pickled by value (see test_textprep), not by name.
+        # Pickled by value, like every profile (see test_textprep).
         custom = replace(EN, lang_code="en-custom", k2=1.3, k3=70.0)
         targets, translations = make_aligned_streams(200, seed=13)
         config = SelectorConfig()

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_oracle as oracle
+
 from sscorpus.textprep import (
     PROFILES,
+    _syllable_counter,
     count_syllables,
     get_profile,
     metric_tokens,
@@ -199,10 +202,40 @@ class TestProfiles:
         with pytest.raises(AttributeError):
             EN.k1 = 0.0
 
-    def test_shipped_profiles_unpickle_as_themselves(self):
+    def test_profiles_pickle_by_value_and_count_alike(self):
+        text = "The poet ate the cake. ¿Qué país? Très été."
         for profile in PROFILES.values():
-            assert pickle.loads(pickle.dumps(profile)) is profile
+            copy = pickle.loads(pickle.dumps(profile))
+            assert copy == profile
+            assert text_stats(text, copy) == text_stats(text, profile)
+            for word in tokenize_words(text).tokens:
+                assert count_syllables(word, copy) == count_syllables(word, profile)
         custom = replace(EN, k1=200.0)
         copy = pickle.loads(pickle.dumps(custom))
         assert copy == custom and copy is not custom
         assert text_stats("Cats sit.", copy) == text_stats("Cats sit.", EN)
+
+    def test_profiles_with_the_same_vowel_rules_share_one_cache(self):
+        _syllable_counter.cache_clear()
+        text = "El poeta leyó un poema en el país."
+        assert text_stats(text, PROFILES["es-paper"]) == text_stats(text, PROFILES["es-fh"])
+        assert _syllable_counter.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "shipped, variant, word, counts",
+        [
+            (EN, replace(EN, silent_final_e=False), "cake", (1, 2)),
+            (ES, replace(ES, strong_vowels=frozenset()), "poeta", (3, 2)),
+            (EN, replace(EN, vowels=EN.vowels - {"y"}), "happy", (2, 1)),
+        ],
+        ids=["silent_final_e", "strong_vowels", "vowels"],
+    )
+    def test_every_vowel_rule_field_keys_the_cache(self, shipped, variant, word, counts):
+        # Each variant differs from a shipped profile in one rule field only; counting with
+        # both, in both orders, shows a cache that left the field out as a wrong count.
+        assert (oracle.count_syllables(word, shipped), oracle.count_syllables(word, variant)) == counts
+        for pair in ((shipped, variant), (variant, shipped)):
+            for profile in pair:
+                expected = oracle.count_syllables(word, profile)
+                assert count_syllables(word, profile) == expected
+                assert text_stats(word, profile).n_syllables == expected
