@@ -87,6 +87,9 @@ class SelectorConfig:
             raise ValueError(f"h_bleu must be in [0, 100], got {self.h_bleu}")
         if not 0.0 <= self.h_fres < math.inf:
             raise ValueError(f"h_fres must be finite and >= 0, got {self.h_fres}")
+        for name in ("enable_bleu", "enable_fres", "drop_identity", "dedup"):
+            if not isinstance(value := getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass
@@ -148,19 +151,15 @@ class _Side:
     variant and the corpus statistics share one computation per scheme.
     ``fres`` holds the reading ease, and the translated side's ``bleu`` its
     sentence BLEU against the source side; each is None until scored (and
-    ``fres`` stays None without countable words). Scores passed in are kept.
+    ``fres`` stays None without countable words). A score set beforehand is kept.
     """
 
-    __slots__ = ("text", "profile", "fres", "bleu", "_tokens", "_stats")
+    __slots__ = ("text", "fres", "bleu", "_tokens", "_stats")
 
-    def __init__(
-        self, text: str, profile: Optional[LanguageProfile], fres: Optional[float] = None,
-        bleu: Optional[float] = None,
-    ) -> None:
+    def __init__(self, text: str) -> None:
         self.text = text
-        self.profile = profile
-        self.fres = fres
-        self.bleu = bleu
+        self.fres: Optional[float] = None
+        self.bleu: Optional[float] = None
         self._tokens: Optional[list[str]] = None
         self._stats: Optional[TextStats] = None
 
@@ -169,12 +168,12 @@ class _Side:
             self._tokens = metric_tokens(self.text)
         return self._tokens
 
-    def score_fres(self) -> Optional[float]:
-        """Reading ease, or None when the sentence has no countable words."""
+    def score_fres(self, profile: LanguageProfile) -> Optional[float]:
+        """Reading ease under ``profile``, or None when the sentence has no countable words."""
         if self.fres is None and self._stats is None:
-            self._stats = text_stats(self.text, self.profile)
+            self._stats = text_stats(self.text, profile)
             if self._stats.n_words:
-                self.fres = _fres_formula(self.profile, *self._stats)
+                self.fres = _fres_formula(profile, *self._stats)
         return self.fres
 
     def score_bleu(self, reference: _Side) -> float:
@@ -219,7 +218,8 @@ def generate_pseudo_pairs(
 
 
 def _select(
-    configs: Sequence[SelectorConfig], index: int, source: _Side, translated: _Side
+    configs: Sequence[SelectorConfig], profile: Optional[LanguageProfile], index: int,
+    source: _Side, translated: _Side,
 ) -> tuple[list[tuple[tuple, _Side, _Side]], list[Union[int, str]]]:
     """Run the enabled selectors on a pair for each configuration, in the module docstring's order.
 
@@ -241,7 +241,9 @@ def _select(
             decisions.append("dropped_identity")
         elif bleu and translated.score_bleu(source) < config.h_bleu:
             decisions.append("dropped_bleu")
-        elif fres and (source.score_fres() is None or translated.score_fres() is None):
+        elif fres and (
+            source.score_fres(profile) is None or translated.score_fres(profile) is None
+        ):
             decisions.append("dropped_no_words")
         elif fres and abs(translated.fres - source.fres) < config.h_fres:
             decisions.append("dropped_fres")
@@ -274,9 +276,10 @@ def _selected(
 ) -> Iterator[tuple[SentencePair, LabeledPair]]:
     """Each input pair that ``config`` keeps, with its kept form; drops are tallied."""
     for pair in pairs:
-        source = _Side(pair.source_sentence, profile, pair.fres_source)
-        translated = _Side(pair.translated_sentence, profile, pair.fres_translated, pair.bleu)
-        kept, (decision,) = _select((config,), pair.index, source, translated)
+        source, translated = _Side(pair.source_sentence), _Side(pair.translated_sentence)
+        source.fres = pair.fres_source
+        translated.fres, translated.bleu = pair.fres_translated, pair.bleu
+        kept, (decision,) = _select((config,), profile, pair.index, source, translated)
         if kept:
             yield pair, LabeledPair(*kept[decision][0])
         elif tally is not None:
@@ -333,12 +336,12 @@ def _decide_chunk(
     rows, words = [], []
     records = [({}, [], set(), set()) for _ in configs]
     for index, (target, translation) in enumerate(chunk, start):
-        source, translated = _Side(target, profile), _Side(translation, profile)
+        source, translated = _Side(target), _Side(translation)
         if len(configs) > 1:  # the configurations share kept records, which carry every score
             translated.score_bleu(source)
-            source.score_fres()
-            translated.score_fres()
-        kept, decisions = _select(configs, index, source, translated)
+            source.score_fres(profile)
+            translated.score_fres(profile)
+        kept, decisions = _select(configs, profile, index, source, translated)
         first = len(rows)
         for row, complex_side, simple_side in kept:
             rows.append(row)
@@ -357,22 +360,24 @@ def _decide_chunk(
 def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterator:
     """``decide(*chunk)`` for each chunk, in input order.
 
-    Several workers are fed by the calling thread, so no thread of the pool
-    reads the input, and at most two chunks per worker wait.
+    With several workers the calling thread reads the chunks and feeds them, at most two per
+    worker waiting; a worker that dies raises ``BrokenProcessPool`` instead of hanging.
     """
     if workers <= 1:
         yield from starmap(decide, chunks)
         return
-    from multiprocessing import get_context  # not for one worker: it loads socket and pickle
+    # Not for one worker: these load socket, pickle and threading.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     waiting: deque = deque()
-    with get_context("spawn").Pool(workers) as pool:
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
         for chunk in chunks:
-            waiting.append(pool.apply_async(decide, chunk))
+            waiting.append(pool.submit(decide, *chunk))
             if len(waiting) > 2 * workers:
-                yield waiting.popleft().get()
+                yield waiting.popleft().result()
         while waiting:
-            yield waiting.popleft().get()
+            yield waiting.popleft().result()
 
 
 class _Collector:
@@ -542,10 +547,4 @@ def sample(pairs: Iterable[LabeledPair], total: int, n: int, seed: int) -> Itera
 def subset(corpus: SimplificationCorpus, n: int, seed: int) -> SimplificationCorpus:
     """Deterministic random sample of n pairs, preserving relative order."""
     pairs = list(sample(corpus.pairs, len(corpus.pairs), n, seed))
-    return SimplificationCorpus(
-        pairs=pairs,
-        lang=corpus.lang,
-        config_snapshot=corpus.config_snapshot,
-        stats=compute_corpus_stats(pairs),
-        drop_tally=None,
-    )
+    return replace(corpus, pairs=pairs, stats=compute_corpus_stats(pairs), drop_tally=None)

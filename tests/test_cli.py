@@ -342,6 +342,8 @@ def json_error(raw: bytes) -> str:
         (b'{"lang": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
         ({"lang": ["en"]}, "unhashable type: 'list'"),
         ({"lang": "xx"}, "unknown language profile 'xx'"),
+        ({"config": {"dedup": "no"}}, "dedup must be true or false, got 'no'"),
+        ({"config": {"enable_bleu": 0}}, "enable_bleu must be true or false, got 0"),
     ],
 )
 def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):

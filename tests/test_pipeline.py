@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +87,13 @@ class TestSelectorConfig:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="h_fres must be finite"):
                 SelectorConfig(h_fres=value)
+
+    @pytest.mark.parametrize("name", ["enable_bleu", "enable_fres", "drop_identity", "dedup"])
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_switches_must_be_booleans(self, name, value):
+        # A meta.json can hold any JSON value here; "no" is truthy and would switch it on.
+        with pytest.raises(ValueError, match=f"^{name} must be true or false, got {value!r}$"):
+            SelectorConfig(**{name: value})
 
 
 class TestBleuSelector:
@@ -260,6 +273,42 @@ class TestBuildCorpus:
             in_process, pooled = (corpora[name] for corpora in variants)
             assert in_process.pairs and in_process.pairs == pooled.pairs, name
             assert (in_process.stats, in_process.drop_tally) == (pooled.stats, pooled.drop_tally)
+
+    def test_a_worker_error_reaches_the_caller_as_in_process(self):
+        # A string coefficient makes every reading ease fail inside the worker.
+        broken = replace(EN, k1="x")
+        errors = []
+        for workers in (1, 2):
+            targets, translations = make_aligned_streams(100, seed=13)
+            with pytest.raises(TypeError) as raised:
+                build_corpus(targets, translations, SelectorConfig(), broken, workers=workers)
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == "unsupported operand type(s) for -: 'str' and 'float'"
+
+    def test_a_worker_that_dies_ends_the_run(self):
+        # Unpickling this profile in a worker ends that worker at once, as a kill would.
+        script = textwrap.dedent("""
+            import os
+            from sscorpus.pipeline import SelectorConfig, build_corpus
+
+            class Fatal:
+                def __reduce__(self):
+                    return os._exit, (3,)
+
+            lines = ["The cat sat on the mat."] * 1000
+            build_corpus(lines, lines, SelectorConfig(), Fatal(), workers=2)
+        """)
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        started = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode != 0
+        assert "BrokenProcessPool" in result.stderr
+        assert time.monotonic() - started < 60
 
 
 class TestFilterAlgebra:
