@@ -1,4 +1,4 @@
-"""Corpus construction: pseudo-pair generation, the per-pair selector, and labeling.
+"""Corpus construction: pseudo-pair generation, the selectors, and labeling.
 
 A pseudo pair joins a trusted sentence with the machine translation of its
 bridge-language counterpart. One function decides every pair. It runs the
@@ -17,11 +17,13 @@ scores of the enabled selectors and the others stay None (empty in TSV).
 The decision depends on nothing but the pair and the configuration, so
 filtering is order-stable, idempotent, and safe to fan out across workers.
 
-One decide loop serves ``build`` and ``ablate``. It reads the input a chunk
-of CHUNK_SIZE pairs at a time, gives each side of a pair one record that
-computes the sentence's 13a tokens, readability counts and scores on first
-use and keeps them, and decides the pair for every configuration in one
-call: ``build`` has one configuration, and ``ablate`` its four variants.
+One decide loop serves ``build``, ``ablate`` and the two selectors. It
+reads the input a chunk of CHUNK_SIZE pairs at a time and decides the chunk
+check by check, for every configuration at once: ``build`` has one
+configuration, and ``ablate`` its four variants. Each check runs once per
+chunk, over the pairs that some configuration has not yet decided, so 13a
+tokens and sentence BLEU are computed only for the pairs a BLEU check
+reaches, and readability counts only for those a reading-ease check reaches.
 Kept records are shared by configurations, so with several configurations
 every pair is scored fully and each kept pair carries all three scores,
 whichever variant keeps it. So a sentence is tokenized and counted at
@@ -43,16 +45,10 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, count, islice, starmap, zip_longest
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
 from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
-from .textprep import (
-    LanguageProfile,
-    TextStats,
-    metric_tokens,
-    text_stats,
-    tokenize_words,
-)
+from .textprep import LanguageProfile, metric_tokens, text_stats, tokenize_words
 
 _SENTINEL = object()
 
@@ -83,6 +79,10 @@ class SelectorConfig:
     dedup: bool = False
 
     def __post_init__(self):
+        for name in ("h_bleu", "h_fres"):
+            # bool is an int, and 0.0 <= True <= 100.0 would let a JSON true through.
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.h_bleu <= 100.0:
             raise ValueError(f"h_bleu must be in [0, 100], got {self.h_bleu}")
         if not 0.0 <= self.h_fres < math.inf:
@@ -144,51 +144,6 @@ class SimplificationCorpus:
     drop_tally: Optional[DropTally] = None
 
 
-class _Side:
-    """One sentence of a pair, with its 13a tokens, readability counts and scores.
-
-    Each is computed on first use and then kept, so every check, every
-    variant and the corpus statistics share one computation per scheme.
-    ``fres`` holds the reading ease, and the translated side's ``bleu`` its
-    sentence BLEU against the source side; each is None until scored (and
-    ``fres`` stays None without countable words). A score set beforehand is kept.
-    """
-
-    __slots__ = ("text", "fres", "bleu", "_tokens", "_stats")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.fres: Optional[float] = None
-        self.bleu: Optional[float] = None
-        self._tokens: Optional[list[str]] = None
-        self._stats: Optional[TextStats] = None
-
-    def tokens(self) -> list[str]:
-        if self._tokens is None:
-            self._tokens = metric_tokens(self.text)
-        return self._tokens
-
-    def score_fres(self, profile: LanguageProfile) -> Optional[float]:
-        """Reading ease under ``profile``, or None when the sentence has no countable words."""
-        if self.fres is None and self._stats is None:
-            self._stats = text_stats(self.text, profile)
-            if self._stats.n_words:
-                self.fres = _fres_formula(profile, *self._stats)
-        return self.fres
-
-    def score_bleu(self, reference: _Side) -> float:
-        """Sentence BLEU of this sentence against ``reference``."""
-        if self.bleu is None:
-            self.bleu = _token_bleu([(self.tokens(), [reference.tokens()])], MAX_NGRAM_ORDER, True)
-        return self.bleu
-
-    def n_words(self) -> int:
-        # The readability counts hold the word count once a check has made them.
-        if self._stats is None:
-            return len(tokenize_words(self.text).tokens)
-        return self._stats.n_words
-
-
 class Sink(Protocol):
     """Takes kept pairs a chunk at a time, in input order: a list, or an ``ingest.CorpusWriter``."""
 
@@ -217,55 +172,97 @@ def generate_pseudo_pairs(
         yield SentencePair(target, translation, index)
 
 
-def _select(
-    configs: Sequence[SelectorConfig], profile: Optional[LanguageProfile], index: int,
-    source: _Side, translated: _Side,
-) -> tuple[list[tuple[tuple, _Side, _Side]], list[Union[int, str]]]:
-    """Run the enabled selectors on a pair for each configuration, in the module docstring's order.
+def _decide(
+    configs: Sequence[SelectorConfig], profile: Optional[LanguageProfile], start: int,
+    chunk: list[tuple[str, str]], scores: Optional[list[tuple]] = None,
+) -> tuple[list[tuple], list[tuple[int, int]], list[tuple], list, list]:
+    """Decide ``(source, translation)`` pairs numbered from ``start`` for every configuration.
 
-    Every score is read from the records of the pair's sides, which compute
-    it when a check first reaches it. Returns the pair's kept records, each
-    its LabeledPair fields as a tuple with the records of its complex and
-    simple sides, at most one unlabeled and one labeled that configurations
-    share, and per configuration the position of its kept record or the
-    name of the DropTally field that counts its drop.
+    Runs each check of the module docstring once, over the pairs some
+    configuration has not yet decided. ``scores`` holds each pair's given
+    (BLEU, source ease, translation ease); a score that is not None is kept.
+    Side 2j is pair j's source and 2j + 1 its translation. Returns the kept
+    records as LabeledPair field tuples, at most one unlabeled and one
+    labeled per pair, with their (complex, simple) side numbers; per
+    configuration its drop counts by DropTally field and its kept records'
+    positions, in input order; and per side its 13a tokens and readability
+    counts, or None where no check made them.
     """
+    n = len(chunk)
+    texts = [text for pair in chunk for text in pair]
     nfc = unicodedata.normalize
-    identical = nfc("NFC", source.text) == nfc("NFC", translated.text)  # for every configuration
-    kept: list[tuple[tuple, _Side, _Side]] = []
-    decisions: list[Union[int, str]] = []
-    positions: dict[bool, int] = {}  # whether labeled -> position in kept
-    for config in configs:
-        bleu, fres = config.enable_bleu, config.enable_fres
-        if bleu and config.drop_identity and identical:
-            decisions.append("dropped_identity")
-        elif bleu and translated.score_bleu(source) < config.h_bleu:
-            decisions.append("dropped_bleu")
-        elif fres and (
-            source.score_fres(profile) is None or translated.score_fres(profile) is None
-        ):
-            decisions.append("dropped_no_words")
-        elif fres and abs(translated.fres - source.fres) < config.h_fres:
-            decisions.append("dropped_fres")
-        elif fres and identical:
-            decisions.append("dropped_identity")
-        elif fres in positions:
-            decisions.append(positions[fres])
-        else:
-            complex_side, simple_side, provenance, gap = source, translated, "unlabeled", 0.0
-            if fres:
-                gap = translated.fres - source.fres
-                # The side with the higher reading-ease score is the simple one.
-                if translated.fres >= source.fres:
-                    provenance = "translated"
-                else:  # negating the gap is exact: a - b == -(b - a)
-                    complex_side, simple_side, provenance, gap = translated, source, "source", -gap
-            row = (complex_side.text, simple_side.text, gap, provenance, index, translated.bleu)
-            row += (complex_side.fres, simple_side.fres)
-            positions[fres] = len(kept)
-            decisions.append(len(kept))
-            kept.append((row, complex_side, simple_side))
-    return kept, decisions
+    identical = [nfc("NFC", source) == nfc("NFC", translation) for source, translation in chunk]
+    bleu, fres = [None] * n, [None] * (2 * n)
+    if scores is not None:
+        bleu = [score[0] for score in scores]
+        fres = [ease for score in scores for ease in score[1:]]
+    tokens, stats = [None] * (2 * n), [None] * (2 * n)
+    undecided = [range(n)] * len(configs)
+    drops: list[dict[str, int]] = [{} for _ in configs]
+
+    def keep(i: int, reason: str, survivors: list[int]) -> None:
+        # Configuration i keeps deciding only ``survivors``; the others count as ``reason``.
+        if len(survivors) < len(undecided[i]):
+            drops[i][reason] = drops[i].get(reason, 0) + len(undecided[i]) - len(survivors)
+        undecided[i] = survivors
+
+    def reached(check: str) -> Sequence[int]:
+        if len(configs) > 1:  # the shared kept records carry every score
+            return range(n)
+        return undecided[0] if getattr(configs[0], check) else ()
+
+    for i, config in enumerate(configs):
+        if config.enable_bleu and config.drop_identity:
+            keep(i, "dropped_identity", [j for j in undecided[i] if not identical[j]])
+    for j in reached("enable_bleu"):
+        if bleu[j] is None:
+            tokens[2 * j] = reference = metric_tokens(texts[2 * j])
+            tokens[2 * j + 1] = hypothesis = metric_tokens(texts[2 * j + 1])
+            bleu[j] = _token_bleu([(hypothesis, [reference])], MAX_NGRAM_ORDER, True)
+    for i, config in enumerate(configs):
+        if config.enable_bleu:
+            keep(i, "dropped_bleu", [j for j in undecided[i] if not bleu[j] < config.h_bleu])
+    for side in [side for j in reached("enable_fres") for side in (2 * j, 2 * j + 1)]:
+        if fres[side] is None:
+            stats[side] = counts = text_stats(texts[side], profile)
+            if counts.n_words:
+                fres[side] = _fres_formula(profile, *counts)
+    for i, config in enumerate(configs):
+        if config.enable_fres:
+            keep(i, "dropped_no_words", [
+                j for j in undecided[i] if fres[2 * j] is not None and fres[2 * j + 1] is not None
+            ])
+            keep(i, "dropped_fres", [
+                j for j in undecided[i] if not abs(fres[2 * j + 1] - fres[2 * j]) < config.h_fres
+            ])
+            keep(i, "dropped_identity", [j for j in undecided[i] if not identical[j]])
+
+    rows: list[tuple] = []
+    sides: list[tuple[int, int]] = []
+    slots = {False: [None] * n, True: [None] * n}  # whether labeled -> per pair its kept record
+    records = []
+    for i, config in enumerate(configs):
+        labeled = config.enable_fres
+        slot, positions = slots[labeled], []
+        for j in undecided[i]:
+            if slot[j] is None:
+                complex_side, simple_side, provenance, gap = 2 * j, 2 * j + 1, "unlabeled", 0.0
+                if labeled:
+                    gap = fres[2 * j + 1] - fres[2 * j]
+                    # The side with the higher reading-ease score is the simple one.
+                    if fres[2 * j + 1] >= fres[2 * j]:
+                        provenance = "translated"
+                    else:  # negating the gap is exact: a - b == -(b - a)
+                        complex_side, simple_side, provenance, gap = 2 * j + 1, 2 * j, "source", -gap
+                slot[j] = len(rows)
+                rows.append((
+                    texts[complex_side], texts[simple_side], gap, provenance, start + j, bleu[j],
+                    fres[complex_side], fres[simple_side],
+                ))
+                sides.append((complex_side, simple_side))
+            positions.append(slot[j])
+        records.append((drops[i], positions))
+    return rows, sides, records, tokens, stats
 
 
 def _selected(
@@ -274,16 +271,21 @@ def _selected(
     profile: Optional[LanguageProfile],
     tally: Optional[DropTally],
 ) -> Iterator[tuple[SentencePair, LabeledPair]]:
-    """Each input pair that ``config`` keeps, with its kept form; drops are tallied."""
-    for pair in pairs:
-        source, translated = _Side(pair.source_sentence), _Side(pair.translated_sentence)
-        source.fres = pair.fres_source
-        translated.fres, translated.bleu = pair.fres_translated, pair.bleu
-        kept, (decision,) = _select((config,), profile, pair.index, source, translated)
-        if kept:
-            yield pair, LabeledPair(*kept[decision][0])
-        elif tally is not None:
-            setattr(tally, decision, getattr(tally, decision) + 1)
+    """Each input pair that ``config`` keeps, with its kept form; drops are tallied.
+
+    Pairs are decided CHUNK_SIZE at a time, so up to a chunk is read ahead.
+    """
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, CHUNK_SIZE)):
+        texts = [(pair.source_sentence, pair.translated_sentence) for pair in chunk]
+        scores = [(pair.bleu, pair.fres_source, pair.fres_translated) for pair in chunk]
+        rows, _, ((drops, positions),), _, _ = _decide((config,), profile, 0, texts, scores)
+        if tally is not None:
+            for reason, n_dropped in drops.items():
+                setattr(tally, reason, getattr(tally, reason) + n_dropped)
+        for row in map(rows.__getitem__, positions):
+            pair = chunk[row[4]]
+            yield pair, LabeledPair(*row[:4], pair.index, *row[5:])
 
 
 def bleu_selector(
@@ -327,33 +329,27 @@ def _decide_chunk(
 ) -> tuple[list[tuple], list[tuple[int, int]], list[tuple]]:
     """Decide ``(target, translation)`` pairs numbered from ``start`` for every configuration.
 
-    Configurations share kept records, so with several of them every pair is
-    scored fully and every kept pair carries all three scores. Returns the
-    chunk's kept pairs as LabeledPair field tuples with their (complex,
-    simple) word counts, and per configuration a record: its drop counts by
-    DropTally field, the positions of its kept pairs, and each side's vocabulary.
+    Returns the chunk's kept pairs as LabeledPair field tuples with their
+    (complex, simple) word counts, and per configuration a record: its drop
+    counts by DropTally field, the positions of its kept pairs, and each
+    side's vocabulary.
     """
-    rows, words = [], []
-    records = [({}, [], set(), set()) for _ in configs]
-    for index, (target, translation) in enumerate(chunk, start):
-        source, translated = _Side(target), _Side(translation)
-        if len(configs) > 1:  # the configurations share kept records, which carry every score
-            translated.score_bleu(source)
-            source.score_fres(profile)
-            translated.score_fres(profile)
-        kept, decisions = _select(configs, profile, index, source, translated)
-        first = len(rows)
-        for row, complex_side, simple_side in kept:
-            rows.append(row)
-            words.append((complex_side.n_words(), simple_side.n_words()))
-        for (drops, positions, vocab_complex, vocab_simple), decision in zip(records, decisions):
-            if isinstance(decision, int):
-                positions.append(first + decision)
-                _, complex_side, simple_side = kept[decision]
-                vocab_complex.update(complex_side.tokens())
-                vocab_simple.update(simple_side.tokens())
-            else:
-                drops[decision] = drops.get(decision, 0) + 1
+    rows, sides, decided, tokens, stats = _decide(configs, profile, start, chunk)
+    texts = [text for pair in chunk for text in pair]
+    n_words = {}
+    for side in {side for kept_sides in sides for side in kept_sides}:
+        if tokens[side] is None:
+            tokens[side] = metric_tokens(texts[side])
+        # The readability counts hold the word count once a check has made them.
+        counts = stats[side]
+        n_words[side] = len(tokenize_words(texts[side]).tokens) if counts is None else counts.n_words
+    words = [(n_words[complex_side], n_words[simple_side]) for complex_side, simple_side in sides]
+    records = [
+        (drops, positions, *(
+            set().union(*[tokens[sides[k][which]] for k in positions]) for which in (0, 1)
+        ))
+        for drops, positions in decided
+    ]
     return rows, words, records
 
 
@@ -371,13 +367,16 @@ def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterato
     from multiprocessing import get_context
 
     waiting: deque = deque()
-    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    try:
         for chunk in chunks:
             waiting.append(pool.submit(decide, *chunk))
             if len(waiting) > 2 * workers:
                 yield waiting.popleft().result()
         while waiting:
             yield waiting.popleft().result()
+    finally:  # on an error, chunks the pool has not yet queued for a worker are dropped
+        pool.shutdown(cancel_futures=True)
 
 
 class _Collector:

@@ -344,6 +344,9 @@ def json_error(raw: bytes) -> str:
         ({"lang": "xx"}, "unknown language profile 'xx'"),
         ({"config": {"dedup": "no"}}, "dedup must be true or false, got 'no'"),
         ({"config": {"enable_bleu": 0}}, "enable_bleu must be true or false, got 0"),
+        ({"config": {"h_bleu": True}}, "h_bleu must be a number, got True"),
+        ({"config": {"h_fres": "x"}}, "h_fres must be a number, got 'x'"),
+        ({"config": {"h_fres": None}}, "h_fres must be a number, got None"),
     ],
 )
 def test_bad_meta_file_is_an_error(tmp_path, capsys, command, meta, message):

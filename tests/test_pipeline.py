@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -87,6 +88,13 @@ class TestSelectorConfig:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="h_fres must be finite"):
                 SelectorConfig(h_fres=value)
+
+    @pytest.mark.parametrize("name", ["h_bleu", "h_fres"])
+    @pytest.mark.parametrize("value", [True, False, "x", "15", None, [15.0]])
+    def test_thresholds_must_be_numbers(self, name, value):
+        # A meta.json can hold any JSON value here; true would pass as 1.0 and "x" fail a comparison.
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a number, got {value!r}')}$"):
+            SelectorConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["enable_bleu", "enable_fres", "drop_identity", "dedup"])
     @pytest.mark.parametrize("value", ["no", 1, None])
@@ -458,14 +466,27 @@ class TestOneComputationPerScheme:
             "_token_bleu": self.N,
         }
 
-    def test_default_build_reuses_the_selectors_word_counts(self, scheme_calls):
+    def assert_scored_where_reached(self, scheme_calls, config, n_bleu, n_stats):
+        # A pair is scored only when a check reaches it: BLEU (and its two token lists) for the
+        # pairs the identity check keeps, reading ease for both sides of the BLEU survivors.
         targets, translations = make_aligned_streams(self.N, seed=109)
-        corpus = build_corpus(targets, translations, SelectorConfig(), EN)
+        corpus = build_corpus(targets, translations, config, EN)
         assert corpus.pairs
-        assert scheme_calls["tokenize_words"] == 0
-        assert scheme_calls["metric_tokens"] <= 2 * self.N
-        assert scheme_calls["text_stats"] <= 2 * self.N
-        assert 0 < scheme_calls["_token_bleu"] <= self.N
+        tally = corpus.drop_tally
+        reached_bleu = tally.n_input - (tally.dropped_identity if config.drop_identity else 0)
+        assert scheme_calls == {
+            "metric_tokens": 2 * reached_bleu,
+            "text_stats": 2 * (reached_bleu - tally.dropped_bleu),
+            "tokenize_words": 0,
+            "_token_bleu": reached_bleu,
+        }
+        assert (scheme_calls["_token_bleu"], scheme_calls["text_stats"]) == (n_bleu, n_stats)
+
+    def test_default_build_reuses_the_selectors_word_counts(self, scheme_calls):
+        self.assert_scored_where_reached(scheme_calls, SelectorConfig(), 371, 498)
+
+    def test_without_identity_drops_every_pair_reaches_bleu(self, scheme_calls):
+        self.assert_scored_where_reached(scheme_calls, SelectorConfig(drop_identity=False), 400, 556)
 
     def test_words_are_counted_for_stats_only_when_no_check_counted_them(self, scheme_calls):
         targets, translations = make_aligned_streams(self.N, seed=109)

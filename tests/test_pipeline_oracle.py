@@ -5,13 +5,16 @@ that ``build_corpus`` and ``ablate`` replaced. Every selector combination,
 three threshold pairs, one and two workers, and inputs that end on, just
 before and just after a chunk boundary must give the same kept pairs (every
 field), drop tally and corpus statistics, and the same error for streams of
-different lengths.
+different lengths. ``bleu_selector`` chained into ``fres_selector`` must
+keep the same pairs and count the same drops as the oracle, also when every
+pair comes scored.
 """
 
 from __future__ import annotations
 
 import itertools
 import unicodedata
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -21,12 +24,16 @@ import pipeline_oracle
 from pipeline_oracle import oracle_ablate, oracle_build
 from synth import make_aligned_streams
 
+from sscorpus import pipeline
 from sscorpus.pipeline import (
     CHUNK_SIZE,
+    DropTally,
     SelectorConfig,
     ablate,
+    bleu_selector,
     build_corpus,
     compute_corpus_stats,
+    fres_selector,
     generate_pseudo_pairs,
 )
 from sscorpus.textprep import get_profile
@@ -118,6 +125,35 @@ def test_ablate_matches_oracle(h_bleu, h_fres, workers):
         assert list(variants) == list(expected)
         for name in expected:
             _assert_same(variants[name], expected[name], f"{name} of {base}, workers={workers}")
+
+
+@pytest.mark.parametrize("pre_scored", [False, True])
+@pytest.mark.parametrize("drop_identity", [True, False])
+@pytest.mark.parametrize("h_bleu,h_fres", THRESHOLDS)
+def test_selectors_match_oracle(h_bleu, h_fres, drop_identity, pre_scored, monkeypatch):
+    config = SelectorConfig(h_bleu, h_fres, drop_identity=drop_identity)
+    expected = _expected(config)
+    pairs = list(generate_pseudo_pairs(TARGETS, TRANSLATIONS))
+    counted = []
+    if pre_scored:
+        pairs = [pipeline_oracle.score_pair(pair, config, EN) for pair in pairs]
+        for name in ("metric_tokens", "text_stats", "_token_bleu"):
+            original = getattr(pipeline, name)
+
+            def record(*args, _name=name, _original=original):
+                result = _original(*args)
+                counted.append((_name, result))
+                return result
+
+            monkeypatch.setattr(pipeline, name, record)
+    tally = DropTally()
+    kept = list(fres_selector(bleu_selector(pairs, config, tally), config, EN, tally))
+    assert kept == expected.pairs
+    # The selectors count drops only.
+    assert tally == replace(expected.drop_tally, n_input=0, n_kept=0)
+    # A score given beforehand is used as given. Only a side without countable words, whose
+    # given reading ease is None, is counted again, and it still has none.
+    assert all(name == "text_stats" and not stats.n_words for name, stats in counted)
 
 
 C = CHUNK_SIZE
