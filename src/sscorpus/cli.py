@@ -1,6 +1,7 @@
 """Command-line interface: build, eval, stats, ablate, subset.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Exit codes: 0 success, 1 runtime error, 2 usage error, and 128 + N after signal N ends the run:
+130 for SIGINT, 129 for SIGHUP and 143 for SIGTERM.
 """
 
 from __future__ import annotations
@@ -8,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import signal
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -43,9 +46,10 @@ _positive_seconds.__name__ = "float"  # for "invalid float value" errors
 
 def _add_corpus_args(parser: argparse.ArgumentParser, out_help: str) -> None:
     """The flags ``build`` and ``ablate`` share: selectors, inputs and output."""
+    config, source = pipeline.SelectorConfig, ingest.TranslationSource  # the defaults' one home
     parser.add_argument("--lang", default="en", choices=sorted(PROFILES), help="language profile")
-    parser.add_argument("--h-bleu", type=float, default=15.0, help="BLEU selector threshold")
-    parser.add_argument("--h-fres", type=float, default=10.0, help="reading-ease gap threshold")
+    parser.add_argument("--h-bleu", type=float, default=config.h_bleu, help="BLEU selector threshold")
+    parser.add_argument("--h-fres", type=float, default=config.h_fres, help="reading-ease gap threshold")
     parser.add_argument("--no-bleu-selector", action="store_true", help="disable the BLEU selector")
     parser.add_argument(
         "--no-fres-selector", action="store_true", help="disable the reading-ease selector"
@@ -60,11 +64,11 @@ def _add_corpus_args(parser: argparse.ArgumentParser, out_help: str) -> None:
     parser.add_argument("--bridge", help="bridge-language sentences (for --translator-cmd)")
     parser.add_argument("--translations", help="precomputed translations, aligned to --target")
     parser.add_argument("--translator-cmd", help="line-protocol translator command")
-    parser.add_argument("--batch-size", type=_at_least(1), default=64, help="translator batch size")
     parser.add_argument(
-        "--translator-timeout",
-        type=_positive_seconds,
-        default=300.0,
+        "--batch-size", type=_at_least(1), default=source.batch_size, help="translator batch size"
+    )
+    parser.add_argument(
+        "--translator-timeout", type=_positive_seconds, default=source.timeout,
         help="per-batch timeout, seconds",
     )
     parser.add_argument("--workers", type=_at_least(1), default=1, help="scoring worker processes")
@@ -136,9 +140,7 @@ def _corpus_inputs(args: argparse.Namespace) -> tuple:
 
 def _run_info(args: argparse.Namespace, extra: Optional[dict] = None) -> dict:
     info = {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
-    if extra:
-        info.update(extra)
-    return info
+    return {**info, **(extra or {})}
 
 
 def _print_summary(tally: pipeline.DropTally) -> None:
@@ -189,8 +191,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     ingest.read_meta(args.corpus, args.format)  # a malformed meta.json is an error
     pairs = ingest.iter_corpus(args.corpus, format=args.format)
-    stats = pipeline.compute_corpus_stats(pairs)
-    print(json.dumps(asdict(stats), indent=2))
+    print(json.dumps(asdict(pipeline.compute_corpus_stats(pairs)), indent=2))
     return 0
 
 
@@ -232,14 +233,28 @@ _COMMANDS = {
 }
 
 
+def _interrupt(signum: int, frame) -> None:
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # SIGTERM and SIGHUP unwind the run as Ctrl-C does, unless ignored (nohup) or handled already.
+    sigs = [s for s in (signal.SIGTERM, signal.SIGHUP) if signal.getsignal(s) == signal.SIG_DFL]
+    in_main = threading.current_thread() is threading.main_thread()  # only it may set them
+    handlers = {sig: signal.signal(sig, _interrupt) for sig in sigs if in_main}
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:  # Ctrl-C raises it with no signal number
+        sig = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        print(f"error: interrupted by {sig.name}", file=sys.stderr)
+        return 128 + sig
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

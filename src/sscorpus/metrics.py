@@ -229,41 +229,6 @@ def _clipped_matches(
         correct[n - 1] += matched
 
 
-def _log(value: float) -> float:
-    if value == 0.0:
-        return -9999999999.0
-    return math.log(value)
-
-
-def _bleu_score(
-    correct: Sequence[int],
-    total: Sequence[int],
-    sys_len: int,
-    ref_len: int,
-    max_order: int,
-    effective_order: bool,
-) -> float:
-    precisions = [0.0] * max_order
-    smooth = 1.0
-    order = max_order
-    for n in range(1, max_order + 1):
-        if total[n - 1] == 0:
-            break
-        if effective_order:
-            order = n
-        if correct[n - 1] == 0:
-            smooth *= 2.0
-            precisions[n - 1] = 100.0 / (smooth * total[n - 1])
-        else:
-            precisions[n - 1] = 100.0 * correct[n - 1] / total[n - 1]
-
-    if sys_len < ref_len:
-        brevity_penalty = math.exp(1 - ref_len / sys_len) if sys_len > 0 else 0.0
-    else:
-        brevity_penalty = 1.0
-    return brevity_penalty * math.exp(sum(_log(p) for p in precisions[:order]) / order)
-
-
 def _token_bleu(
     items: Iterable[tuple[Sequence[str], Sequence[Sequence[str]]]],
     max_order: int,
@@ -290,7 +255,19 @@ def _token_bleu(
             _clipped_matches(hyp_tokens, refs_tokens, correct, orders)
             # The closest reference length; ties go to the shorter reference.
             ref_len += min((abs(hyp_len - len(ref)), len(ref)) for ref in refs_tokens)[1]
-    return _bleu_score(correct, total, sys_len, ref_len, max_order, effective_order)
+    logs, smooth = [], 1.0  # each order's log precision, up to the first without n-grams
+    for n in range(max_order):
+        if total[n] == 0:
+            break
+        if correct[n] == 0:  # exponential smoothing
+            smooth *= 2.0
+            logs.append(math.log(100.0 / (smooth * total[n])))
+        else:
+            logs.append(math.log(100.0 * correct[n] / total[n]))
+    if not logs or (len(logs) < max_order and not effective_order):
+        return 0.0
+    brevity_penalty = math.exp(1 - ref_len / sys_len) if sys_len < ref_len else 1.0
+    return brevity_penalty * math.exp(sum(logs) / len(logs))
 
 
 def _bleu_item(hypothesis: str, references: Sequence[str]) -> tuple[list[str], list[list[str]]]:

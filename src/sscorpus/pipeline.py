@@ -365,12 +365,19 @@ def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterato
     # Not for one worker: these load socket, pickle and threading.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
+    from signal import SIG_BLOCK, SIG_SETMASK, SIGINT, pthread_sigmask
 
     waiting: deque = deque()
     pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
     try:
         for chunk in chunks:
-            waiting.append(pool.submit(decide, *chunk))
+            # A worker started by a submit inherits the blocked SIGINT, so Ctrl-C reaches this
+            # process alone, even while a worker starts, and unwinding here ends the workers.
+            mask = pthread_sigmask(SIG_BLOCK, {SIGINT})
+            try:
+                waiting.append(pool.submit(decide, *chunk))
+            finally:
+                pthread_sigmask(SIG_SETMASK, mask)
             if len(waiting) > 2 * workers:
                 yield waiting.popleft().result()
         while waiting:

@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import sscorpus
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 _acceptance_outcomes: dict[str, tuple[str, str]] = {}
+
+
+@pytest.fixture(scope="session")
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's ``sscorpus``."""
+    src = str(Path(sscorpus.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,20 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
-from pathlib import Path
+from contextlib import suppress
 
 import pytest
 
 from synth import write_aligned_files
 
-import sscorpus
+from sscorpus import cli
 from sscorpus.cli import build_parser, main
-from sscorpus.ingest import read_corpus
+from sscorpus.ingest import TranslationSource, read_corpus
+from sscorpus.pipeline import SelectorConfig
 
 
 def run(capsys, *argv):
@@ -414,16 +417,91 @@ def test_a_meta_file_without_a_format_is_read_in_the_requested_one(tmp_path, cap
         assert json.loads(stdout)["total_pairs"] == 20
 
 
-def test_import_loads_neither_multiprocessing_nor_hashlib():
+# (signal, --workers, whether the whole process group gets the signal, as from a terminal)
+_INTERRUPTS = [
+    *((sig, workers, False) for sig in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)
+      for workers in ("1", "2")),
+    (signal.SIGINT, "2", True),
+]
+
+
+@pytest.mark.parametrize(
+    ("sig", "workers", "group"), _INTERRUPTS,
+    ids=[f"{sig.name}-workers{workers}{'-group' * group}" for sig, workers, group in _INTERRUPTS],
+)
+def test_a_signal_ends_the_run_like_ctrl_c(tmp_path, child_env, sig, workers, group):
+    target, translations = write_aligned_files(tmp_path, 2000)
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "out" / "c"
+    # The translator answers 640 lines, then keeps its output open: the run waits on it with
+    # more than one write buffer of pairs merged, with one worker or two.
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "sscorpus.cli", "build", "--target", str(target),
+            "--bridge", str(translations), "--translator-cmd", "sh -c 'sed -u 640q; exec sleep 30'",
+            "--no-bleu-selector", "--no-fres-selector", "--workers", workers, "--out", str(out),
+        ],
+        env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        # Not empty once the first chunk is merged and written.
+        written = out.parent / f"c.complex.{proc.pid}.tmp"
+        deadline = time.monotonic() + 60
+        while not (written.exists() and written.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        if group:
+            os.killpg(proc.pid, sig)
+        else:
+            proc.send_signal(sig)
+        # Returns only once no process holds the pipes: no worker and no translator is left.
+        _, stderr = proc.communicate(timeout=20)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert proc.returncode == 128 + sig
+    assert [line for line in stderr.splitlines() if line.startswith("error:")] == [
+        f"error: interrupted by {sig.name}"
+    ]
+    assert "Traceback" not in stderr
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_signal_handlers_last_as_long_as_main(tmp_path, capsys, monkeypatch):
+    target, translations = write_aligned_files(tmp_path, 20)
+    argv = ["build", "--target", str(target), "--translations", str(translations)]
+
+    def handlers():
+        return signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGHUP)
+
+    during = []  # the handlers while a command runs
+    monkeypatch.setattr(cli, "_print_summary", lambda tally: during.append(handlers()))
+    previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)  # as under nohup
+    try:
+        assert run(capsys, *argv, "--out", str(tmp_path / "a"))[0] == 0
+        after = handlers()
+    finally:
+        signal.signal(signal.SIGHUP, previous)
+    assert during == [(cli._interrupt, signal.SIG_IGN)]
+    assert after == (signal.SIG_DFL, signal.SIG_IGN)
+    # Only the main thread may set a handler; another runs the command without one.
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main([*argv, "--out", str(tmp_path / "b")])))
+    thread.start()
+    thread.join()
+    assert codes == [0]
+    assert during[1] == (signal.SIG_DFL, signal.SIG_DFL)
+
+
+def test_import_loads_neither_multiprocessing_nor_hashlib(child_env):
     # A one-worker run pays for neither: the pool and the dedup digest import them late,
     # and a run without a translator pays for none of the bridge's process and selector modules.
-    src = str(Path(sscorpus.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     late = "{'multiprocessing', 'hashlib', 'subprocess', 'selectors', 'shlex'}"
     script = f"import sys, sscorpus.cli; print({late} & set(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env=child_env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "set()\n"
 
@@ -496,6 +574,12 @@ class TestAblate:
         every, required = parsed
         # Every flag was set away from its default, so every default was compared too.
         assert [key for key in every if every[key] == required[key]] == ["target", "out"]
+
+    def test_defaults_are_the_apis(self):
+        args = build_parser().parse_args(["build", "--target", "t", "--out", "o"])
+        assert (args.h_bleu, args.h_fres) == (SelectorConfig().h_bleu, SelectorConfig().h_fres)
+        source = TranslationSource("cat")
+        assert (args.batch_size, args.translator_timeout) == (source.batch_size, source.timeout)
 
 
 class TestSubset:

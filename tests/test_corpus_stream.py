@@ -11,7 +11,6 @@ with one worker or two, does not grow with its input.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -22,7 +21,6 @@ import pytest
 import pipeline_oracle as oracle
 from synth import make_aligned_streams, write_aligned_files
 
-import sscorpus
 from sscorpus import cli
 from sscorpus.pipeline import SelectorConfig, ablate, build_corpus
 from sscorpus.textprep import get_profile
@@ -146,10 +144,7 @@ print(code, peak, "hashlib" in sys.modules)
 """
 
 
-def _peak_kib(argv: list[str]) -> int:
-    env = dict(os.environ)
-    src = str(Path(sscorpus.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+def _peak_kib(env: dict, argv: list[str]) -> int:
     result = subprocess.run(
         [sys.executable, "-c", _MEASURE, *argv],
         env=env, capture_output=True, text=True, timeout=600, check=True,
@@ -164,14 +159,14 @@ RUNS = (("build",), ("ablate",), ("build", "--workers", "2"))
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM (Linux only)")
-def test_peak_memory_does_not_grow_with_input(tmp_path):
+def test_peak_memory_does_not_grow_with_input(tmp_path, child_env):
     peaks = {}
     for size in (10_000, 40_000):
         directory = tmp_path / f"n{size}"
         directory.mkdir()
         target, translations = write_aligned_files(directory, size, seed=109)
         for run in RUNS:
-            peaks[run, size] = _peak_kib([
+            peaks[run, size] = _peak_kib(child_env, [
                 *run, "--target", str(target), "--translations", str(translations),
                 "--out", str(directory / run[0]),
             ])

@@ -205,6 +205,29 @@ def test_bleu_empty_hypothesis_and_reference(max_order):
     _assert_bleu_equal("", [""], max_order)
 
 
+# Each order that has no hypothesis n-gram, or no match, is an edge of the score's last step.
+_BLEU_EDGES = [
+    ("", ["a b c"]),  # no order counts
+    ("a", ["a"]), ("a", ["b"]),  # one to three tokens: fewer orders count than max_order 4
+    ("a b", ["a b"]), ("a b", ["b a"]),
+    ("a b c", ["a b c"]), ("a b c", ["c a b"]),
+    ("a b c d", ["a b c x d"]),  # only the 4-gram does not match: smoothing
+]
+
+
+@pytest.mark.parametrize("max_order", range(1, 6))
+@pytest.mark.parametrize(("hypothesis", "references"), _BLEU_EDGES)
+def test_bleu_edge_cases(hypothesis, references, max_order):
+    _assert_bleu_equal(hypothesis, references, max_order)
+
+
+@pytest.mark.parametrize("max_order", range(1, 6))
+def test_corpus_bleu_pooled_hypothesis_shorter_than_the_order(max_order):
+    hypotheses, references = ["a", "b c"], [["a"], ["b c"]]
+    got = corpus_bleu(hypotheses, references, max_order)
+    assert got == oracle.corpus_bleu(hypotheses, references, max_order)
+
+
 @st.composite
 def _repeated_references(draw):
     """(hypothesis, references): a reference repeats, and the hypothesis may be one, twice."""

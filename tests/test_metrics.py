@@ -122,6 +122,10 @@ class TestSentenceBleu:
     def test_empty_hypothesis_is_zero(self):
         assert sentence_bleu("", ["something here"]) == 0.0
 
+    def test_exact_match_shorter_than_the_order_is_100(self):
+        # Three orders count, and their mean log precision is log(100) up to rounding.
+        assert sentence_bleu("a b c", ["a b c"]) == pytest.approx(100.0, abs=1e-9)
+
     def test_empty_reference_list_is_an_error(self):
         with pytest.raises(ValueError, match="reference"):
             sentence_bleu("hello", [])
@@ -167,6 +171,9 @@ class TestCorpusBleu:
     def test_all_equal_is_100(self):
         hyps = ["The cat sat down.", "A dog ran away quickly."]
         assert corpus_bleu(hyps, [[h] for h in hyps]) == pytest.approx(100.0, abs=1e-6)
+
+    def test_exact_match_shorter_than_the_order_is_zero(self):
+        assert corpus_bleu(["a b c"], [["a b c"]]) == 0.0
 
     def test_length_mismatch_is_an_error(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -1,11 +1,9 @@
-import os
 import re
 import subprocess
 import sys
 import textwrap
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -294,7 +292,7 @@ class TestBuildCorpus:
         assert errors[0] == errors[1]
         assert errors[0][1] == "unsupported operand type(s) for -: 'str' and 'float'"
 
-    def test_a_worker_that_dies_ends_the_run(self):
+    def test_a_worker_that_dies_ends_the_run(self, child_env):
         # Unpickling this profile in a worker ends that worker at once, as a kill would.
         script = textwrap.dedent("""
             import os
@@ -307,12 +305,9 @@ class TestBuildCorpus:
             lines = ["The cat sat on the mat."] * 1000
             build_corpus(lines, lines, SelectorConfig(), Fatal(), workers=2)
         """)
-        src = str(Path(pipeline.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         started = time.monotonic()
         result = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=child_env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode != 0
         assert "BrokenProcessPool" in result.stderr
