@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, _count_elements
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
@@ -92,17 +92,11 @@ class EvalReport:
     n_items: int
 
     def to_dict(self) -> dict:
-        """Flat JSON form with fixed field names."""
-        return {
-            "sari": self.sari.sari,
-            "f_keep": self.sari.f_keep,
-            "f_add": self.sari.f_add,
-            "f_delete": self.sari.f_delete,
-            "fkgl": self.fkgl,
-            "fres": self.fres,
-            "bleu": self.bleu,
-            "n_items": self.n_items,
-        }
+        """Flat JSON form: the SARI fields but the n-gram order, then the other fields."""
+        fields = asdict(self)
+        breakdown = fields.pop("sari")
+        del breakdown["max_ngram_order"]
+        return {**breakdown, **fields}
 
 
 # --- readability ---
@@ -282,10 +276,10 @@ def _bleu_item(hypothesis: str, references: Sequence[str]) -> tuple[list[str], l
 
 
 def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = MAX_NGRAM_ORDER) -> float:
-    """Sentence-level BLEU in [0, 100], case-sensitive 13a tokens.
+    """Sentence-level BLEU from 0 to 100, or one rounding step above, case-sensitive 13a tokens.
 
-    Uses exponential smoothing for zero counts and the effective n-gram
-    order for short sentences. An empty hypothesis scores 0.0.
+    Exponential smoothing for zero counts, effective n-gram order for short sentences. An empty
+    hypothesis scores 0.0; an exact match can score 100.00000000000004, as in sacrebleu.
     """
     _check_max_order(max_order)
     if not references:
@@ -298,7 +292,7 @@ def corpus_bleu(
     references: Sequence[Sequence[str]],
     max_order: int = MAX_NGRAM_ORDER,
 ) -> float:
-    """Corpus BLEU in [0, 100]: n-gram statistics pooled before combining."""
+    """Corpus BLEU: n-gram statistics pooled before combining; its range is ``sentence_bleu``'s."""
     _check_max_order(max_order)
     if len(hypotheses) != len(references):
         raise ValueError(
@@ -415,16 +409,11 @@ def sari(
         raise ValueError("nothing to score: empty input")
     if not all(references):
         raise ValueError("every hypothesis needs at least one reference")
-    keep_sum = delete_sum = add_sum = 0.0
+    sums = [0.0, 0.0, 0.0]  # keep, delete, add: plain += in item order (sum compensates from 3.12)
     for source, hypothesis, refs in zip(sources, hypotheses, references):
-        keep, delete, add = _sari_item(source, hypothesis, refs, max_order)
-        keep_sum += keep
-        delete_sum += delete
-        add_sum += add
-    n = len(hypotheses)
-    f_keep = 100.0 * keep_sum / n
-    f_delete = 100.0 * delete_sum / n
-    f_add = 100.0 * add_sum / n
+        for i, term in enumerate(_sari_item(source, hypothesis, refs, max_order)):
+            sums[i] += term
+    f_keep, f_delete, f_add = (100.0 * total / len(hypotheses) for total in sums)
     return SariBreakdown(
         sari=(f_keep + f_add + f_delete) / 3.0,
         f_keep=f_keep,

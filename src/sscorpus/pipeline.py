@@ -38,6 +38,7 @@ disk.
 from __future__ import annotations
 
 import math
+import os
 import random
 import unicodedata
 from collections import deque
@@ -353,6 +354,14 @@ def _decide_chunk(
     return rows, words, records
 
 
+def _end_with_parent() -> None:
+    """In a worker: exit once the process that started it is gone, even killed by SIGKILL."""
+    from multiprocessing import parent_process
+    from threading import Thread
+
+    Thread(target=lambda: (parent_process().join(), os._exit(1)), daemon=True).start()
+
+
 def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterator:
     """``decide(*chunk)`` for each chunk, in input order.
 
@@ -368,7 +377,7 @@ def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterato
     from signal import SIG_BLOCK, SIG_SETMASK, SIGINT, pthread_sigmask
 
     waiting: deque = deque()
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"))
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn"), initializer=_end_with_parent)
     try:
         for chunk in chunks:
             # A worker started by a submit inherits the blocked SIGINT, so Ctrl-C reaches this

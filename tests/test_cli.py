@@ -469,6 +469,39 @@ def test_a_signal_ends_the_run_like_ctrl_c(tmp_path, child_env, sig, workers, gr
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_workers_exit_when_the_main_process_is_killed(tmp_path, child_env):
+    target, translations = write_aligned_files(tmp_path, 2000)
+    out = tmp_path / "out" / "c"
+    # The translator answers 640 lines, then reads to EOF: it ends with the main process, so
+    # only the workers (and the resource tracker they hold open) can keep the group alive.
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "sscorpus.cli", "build", "--target", str(target),
+            "--bridge", str(translations), "--translator-cmd",
+            "sh -c 'sed -u 640q; exec cat >/dev/null'", "--translator-timeout", "60",
+            "--no-bleu-selector", "--no-fres-selector", "--workers", "2", "--out", str(out),
+        ],
+        env=child_env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        written = out.parent / f"c.complex.{proc.pid}.tmp"
+        deadline = time.monotonic() + 60
+        while not (written.exists() and written.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.kill()  # as the OOM killer does: no handler runs
+        proc.wait()
+        deadline = time.monotonic() + 20
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.05)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
 def test_signal_handlers_last_as_long_as_main(tmp_path, capsys, monkeypatch):
     target, translations = write_aligned_files(tmp_path, 20)
     argv = ["build", "--target", str(target), "--translations", str(translations)]

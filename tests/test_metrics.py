@@ -267,10 +267,20 @@ class TestEvaluate:
             ["the big cat sat"], ["the cat sat"], [["the cat sat"]], EN
         )
         payload = report.to_dict()
-        assert set(payload) == {
+        # README's key order; the SARI fields come flat, without the n-gram order.
+        assert list(payload) == [
             "sari", "f_keep", "f_add", "f_delete", "fkgl", "fres", "bleu", "n_items",
-        }
-        assert payload["n_items"] == 1
+        ]
+        assert "max_ngram_order" not in payload
+        breakdown = report.sari
+        assert payload["sari"] == breakdown.sari
+        assert payload["f_keep"] == breakdown.f_keep
+        assert payload["f_add"] == breakdown.f_add
+        assert payload["f_delete"] == breakdown.f_delete
+        assert payload["fkgl"] == report.fkgl
+        assert payload["fres"] == report.fres
+        assert payload["bleu"] == report.bleu
+        assert payload["n_items"] == report.n_items == 1
         json.dumps(payload)  # must be serializable as-is
 
     def test_identical_triple_gives_bleu_100(self):
