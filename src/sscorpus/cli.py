@@ -12,7 +12,7 @@ import math
 import signal
 import sys
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import Optional
 
@@ -144,17 +144,12 @@ def _run_info(args: argparse.Namespace, extra: Optional[dict] = None) -> dict:
 
 
 def _print_summary(tally: pipeline.DropTally) -> None:
-    rows = [
-        ("input pairs", tally.n_input),
-        ("dropped (identity)", tally.dropped_identity),
-        ("dropped (BLEU)", tally.dropped_bleu),
-        ("dropped (FRES)", tally.dropped_fres),
-        ("dropped (no words)", tally.dropped_no_words),
-        ("dropped (duplicate)", tally.dropped_duplicate),
-        ("kept", tally.n_kept),
-    ]
-    width = max(len(label) for label, _ in rows)
-    for label, value in rows:
+    labels = (  # in DropTally's field order
+        "input pairs", "dropped (identity)", "dropped (BLEU)", "dropped (FRES)",
+        "dropped (no words)", "dropped (duplicate)", "kept",
+    )
+    width = max(map(len, labels))
+    for label, value in zip(labels, astuple(tally), strict=True):
         print(f"{label:<{width}}  {value}")
 
 

@@ -443,8 +443,5 @@ def read_eval_dataset(directory: Path | str) -> tuple[list[str], list[list[str]]
     if None in ordered:
         raise ValueError(f"{directory}: missing reference file {name}.ref.{ordered.index(None)}")
 
-    sources, references = [], []
-    for source, *refs in zip(*open_aligned(src_path, *ordered), strict=True):
-        sources.append(source)
-        references.append(refs)
-    return sources, references
+    items = [(src, refs) for src, *refs in zip(*open_aligned(src_path, *ordered), strict=True)]
+    return [src for src, _ in items], [refs for _, refs in items]

@@ -7,17 +7,9 @@ the de facto standard tool behavior: lowercased 13a tokens,
 reference-count weighting, F1 for keep/add and precision for delete,
 averaged over n-gram orders 1..4 and then over the three operations.
 
-BLEU clips by set membership, one n-gram order at a time: a distinct hypothesis
-n-gram matches once if some reference has it (one set difference), and only one
-the hypothesis repeats is counted in each reference. No reference n-gram is
-counted; a hypothesis whose tokens equal a reference's skips the matching. SARI
-counts n-grams into plain dicts through ``Counter.update``'s C helper, its
-references pooled into one; its per-order float sums add their terms in a
-dict's first-occurrence order. BLEU and SARI tokenize each distinct string of
-an item once, BLEU leaves out repeated references, and ``evaluate`` calls the
-four corpus metrics. Lowercased tokens are not derived from cased ones: the 13a
-rules do not commute with lowercasing (``<SKIPPED>``, ``&QUOT;`` and ``ΑΣ:Β``
-differ).
+BLEU clips by set membership and counts no reference n-gram (README has the
+details). One-reference sentence BLEU, the corpus builder's, runs its own loop
+over the n-gram orders with the same arithmetic, so its scores are bit-identical.
 """
 
 from __future__ import annotations
@@ -61,6 +53,7 @@ _FKGL_SPECIAL_WORDS = {
     "discoloured": 3, "gravesend": 2, "60": 2, "lb": 1, "unexpressed": 3,
     "greyish": 2, "unostentatious": 5,
 }
+_FKGL_VOWEL_RUN = re.compile("[aeiouy]+")
 _FKGL_ADD_PATTERNS = [re.compile(p) for p in (
     "ia", "riet", "dien", "iu", "io", "ii", "[aeiouy]bl$", "mbl$",
     "[aeiou]{3}", "^mc", "ism$", r"(.)(?!\1)([aeiouy])\2l$", "[^l]llien",
@@ -125,20 +118,9 @@ def _fkgl_syllables(token: str) -> int:
     if word in _FKGL_SPECIAL_WORDS:
         return _FKGL_SPECIAL_WORDS[word]
     word = word.rstrip("e")
-    count = 0
-    previous_was_vowel = False
-    for ch in word:
-        is_vowel = ch in "aeiouy"
-        if is_vowel and not previous_was_vowel:
-            count += 1
-        previous_was_vowel = is_vowel
-    for pattern in _FKGL_ADD_PATTERNS:
-        if pattern.search(word):
-            count += 1
-    for pattern in _FKGL_SUB_PATTERNS:
-        if pattern.search(word):
-            count -= 1
-    return count
+    count = len(_FKGL_VOWEL_RUN.findall(word))
+    count += sum(1 for pattern in _FKGL_ADD_PATTERNS if pattern.search(word))
+    return count - sum(1 for pattern in _FKGL_SUB_PATTERNS if pattern.search(word))
 
 
 def _fkgl_counts(tokens: Sequence[str]) -> tuple[int, int, int]:
@@ -255,12 +237,43 @@ def _token_bleu(
             break
         if correct[n] == 0:  # exponential smoothing
             smooth *= 2.0
-            logs.append(math.log(100.0 / (smooth * total[n])))
-        else:
-            logs.append(math.log(100.0 * correct[n] / total[n]))
+        precision = 100.0 * correct[n] / total[n] if correct[n] else 100.0 / (smooth * total[n])
+        logs.append(math.log(precision))
     if not logs or (len(logs) < max_order and not effective_order):
         return 0.0
     brevity_penalty = math.exp(1 - ref_len / sys_len) if sys_len < ref_len else 1.0
+    return brevity_penalty * math.exp(sum(logs) / len(logs))
+
+
+def _pair_bleu(hyp: Sequence[str], ref: Sequence[str], max_order: int = MAX_NGRAM_ORDER) -> float:
+    """``_token_bleu([(hyp, [ref])], max_order, True)`` in one loop over orders, bit for bit."""
+    hyp_len = len(hyp)
+    if not hyp_len:
+        return 0.0
+    same = hyp == ref
+    grams, ref_grams, matched = hyp, ref, 1
+    logs, smooth = [], 1.0
+    for n in range(1, min(max_order, hyp_len) + 1):
+        total = hyp_len - n + 1
+        if same:
+            matched = total
+        elif matched:  # once an order has no match, no longer one has
+            if n > 1:
+                grams = list(zip(grams, hyp[n - 1:]))
+                ref_grams = list(zip(ref_grams, ref[n - 1:]))
+            distinct = set(grams)
+            unmatched = distinct.difference(ref_grams)
+            matched = len(distinct) - len(unmatched)
+            if matched and len(distinct) < len(grams):
+                counts: dict = {}
+                _count_elements(counts, grams)
+                for gram, count in counts.items():
+                    if count > 1 and gram not in unmatched:
+                        matched += min(count, ref_grams.count(gram)) - 1
+        if not matched:  # exponential smoothing
+            smooth *= 2.0
+        logs.append(math.log(100.0 * matched / total if matched else 100.0 / (smooth * total)))
+    brevity_penalty = math.exp(1 - len(ref) / hyp_len) if hyp_len < len(ref) else 1.0
     return brevity_penalty * math.exp(sum(logs) / len(logs))
 
 
@@ -284,7 +297,10 @@ def sentence_bleu(hypothesis: str, references: Sequence[str], max_order: int = M
     _check_max_order(max_order)
     if not references:
         raise ValueError("at least one reference is required")
-    return _token_bleu([_bleu_item(hypothesis, references)], max_order, effective_order=True)
+    hyp_tokens, refs_tokens = _bleu_item(hypothesis, references)
+    if len(refs_tokens) == 1:
+        return _pair_bleu(hyp_tokens, refs_tokens[0], max_order)
+    return _token_bleu([(hyp_tokens, refs_tokens)], max_order, effective_order=True)
 
 
 def corpus_bleu(

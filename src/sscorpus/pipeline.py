@@ -17,22 +17,15 @@ scores of the enabled selectors and the others stay None (empty in TSV).
 The decision depends on nothing but the pair and the configuration, so
 filtering is order-stable, idempotent, and safe to fan out across workers.
 
-One decide loop serves ``build``, ``ablate`` and the two selectors. It
-reads the input a chunk of CHUNK_SIZE pairs at a time and decides the chunk
-check by check, for every configuration at once: ``build`` has one
-configuration, and ``ablate`` its four variants. Each check runs once per
-chunk, over the pairs that some configuration has not yet decided, so 13a
-tokens and sentence BLEU are computed only for the pairs a BLEU check
-reaches, and readability counts only for those a reading-ease check reaches.
-Kept records are shared by configurations, so with several configurations
-every pair is scored fully and each kept pair carries all three scores,
-whichever variant keeps it. So a sentence is tokenized and counted at
-most once per scheme, whatever the number of variants, and no token list
-outlives its chunk. A chunk's decisions are one reply of plain tuples, sets
-and counts, which ``--workers`` computes in worker processes; the replies
-are merged in input order, each configuration handing a chunk's kept pairs
-to its sink in one call: a list, or a corpus writer that streams them to
-disk.
+One decide loop serves ``build``, ``ablate`` and the two selectors. It decides
+CHUNK_SIZE pairs at a time, check by check, for every configuration at once
+(``ablate`` has four), each check over the pairs some configuration has not yet
+decided. With several configurations every pair is scored fully, since kept
+records are shared and carry all three scores. A sentence is tokenized and
+counted at most once per scheme, and no token list outlives its chunk. A
+chunk's reply of plain tuples, sets and counts may come from a ``--workers``
+process; replies are merged in input order, and each configuration hands a
+chunk's kept pairs to its sink (a list, or a streaming corpus writer) in one call.
 """
 
 from __future__ import annotations
@@ -48,7 +41,7 @@ from functools import partial
 from itertools import chain, count, islice, starmap, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
-from .metrics import MAX_NGRAM_ORDER, _fres_formula, _token_bleu
+from .metrics import _fres_formula, _pair_bleu
 from .textprep import LanguageProfile, metric_tokens, text_stats, tokenize_words
 
 _SENTINEL = object()
@@ -219,7 +212,7 @@ def _decide(
         if bleu[j] is None:
             tokens[2 * j] = reference = metric_tokens(texts[2 * j])
             tokens[2 * j + 1] = hypothesis = metric_tokens(texts[2 * j + 1])
-            bleu[j] = _token_bleu([(hypothesis, [reference])], MAX_NGRAM_ORDER, True)
+            bleu[j] = _pair_bleu(hypothesis, reference)
     for i, config in enumerate(configs):
         if config.enable_bleu:
             keep(i, "dropped_bleu", [j for j in undecided[i] if not bleu[j] < config.h_bleu])

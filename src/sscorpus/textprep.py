@@ -6,12 +6,10 @@ tooling, and a readability-grade scheme that keeps only word-like tokens
 for Flesch-style counting. All functions here are pure and safe to call
 from any number of workers.
 
-The 13a rules run in two steps. The punctuation class is ASCII-only and
-splits without looking at its neighbours, so one ``str.translate`` table
-pads every such character with spaces. The three digit-aware rules (a
-period or comma not next to a digit, a dash after a digit) look at context
-and run as regular expressions only on text with an ASCII digit; without
-one they pad every ``.`` and ``,``, as a second table does.
+The 13a punctuation class is ASCII-only and context-free, so one
+``str.translate`` table pads it. The three digit-aware rules run as regular
+expressions only on text with an ASCII digit; without one, a second table
+pads every ``.`` and ``,``.
 """
 
 from __future__ import annotations

@@ -21,9 +21,14 @@ combined with ``&``, ``-`` and set operations.
 The evaluation section is copied unchanged from the implementation that the
 one-walk ``evaluate`` replaced: SARI, corpus BLEU, grade level and reading
 ease each walk the items on their own and tokenize every string they read.
-It runs on this module's tokenizer, SARI, BLEU and text statistics; the
-syllable heuristic and the two readability formulas, which the walk did not
-change, come from the metrics module.
+It runs on this module's tokenizer, SARI, BLEU and text statistics; the two
+readability formulas, which the walk did not change, come from the metrics
+module.
+
+``_fkgl_syllables`` is copied unchanged from the implementation that the
+vowel-run regex and the pattern sums replaced: one pass over the characters,
+then one loop per pattern table. The tables themselves come from the metrics
+module.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from sscorpus.metrics import (
+    _FKGL_ADD_PATTERNS,
+    _FKGL_SPECIAL_WORDS,
+    _FKGL_SUB_PATTERNS,
     EvalReport,
     SariBreakdown,
     _fkgl_formula,
-    _fkgl_syllables,
     _fres_formula,
 )
 from sscorpus.pipeline import CorpusStats
@@ -397,6 +404,27 @@ def sari(
 
 
 # --- evaluation ---
+
+
+def _fkgl_syllables(token: str) -> int:
+    word = token.lower().strip()
+    if word in _FKGL_SPECIAL_WORDS:
+        return _FKGL_SPECIAL_WORDS[word]
+    word = word.rstrip("e")
+    count = 0
+    previous_was_vowel = False
+    for ch in word:
+        is_vowel = ch in "aeiouy"
+        if is_vowel and not previous_was_vowel:
+            count += 1
+        previous_was_vowel = is_vowel
+    for pattern in _FKGL_ADD_PATTERNS:
+        if pattern.search(word):
+            count += 1
+    for pattern in _FKGL_SUB_PATTERNS:
+        if pattern.search(word):
+            count -= 1
+    return count
 
 
 def _fkgl_counts(text: str) -> tuple[int, int, int]:

@@ -22,7 +22,11 @@ from synth import make_aligned_streams
 
 from sscorpus.ingest import read_eval_dataset
 from sscorpus.metrics import (
+    _FKGL_SPECIAL_WORDS,
+    _fkgl_syllables,
     _ngram_counts,
+    _pair_bleu,
+    _token_bleu,
     corpus_bleu,
     corpus_fkgl,
     corpus_fres,
@@ -212,6 +216,11 @@ _BLEU_EDGES = [
     ("a b", ["a b"]), ("a b", ["b a"]),
     ("a b c", ["a b c"]), ("a b c", ["c a b"]),
     ("a b c d", ["a b c x d"]),  # only the 4-gram does not match: smoothing
+    ("a", ["a b c d e"]), ("a b c", ["a b c d"]),  # brevity penalty
+    ("a b x a b", ["a b a b"]),  # a repeated bigram, then no match from order 3 on
+    ("a b . c", ["a b  .c"]),  # equal token lists from unequal text
+    ("a a a", ["a a"]), ("a a a a", ["a a a"]), ("a b a b", ["a b"]),  # repeated n-grams
+    ("a b a b a b", ["b a b a b"]), ("a b c a b c", ["a b c a"]), ("the the the cat", ["cat the"]),
 ]
 
 
@@ -274,6 +283,60 @@ def test_bleu_clips_repeated_ngrams_to_one_reference(items, max_order):
     references = [refs for _, refs in items]
     got = corpus_bleu(hypotheses, references, max_order)
     assert got == oracle.corpus_bleu(hypotheses, references, max_order)
+
+
+def _assert_pair_bleu_equal(hypothesis, reference, max_order):
+    got = _pair_bleu(metric_tokens(hypothesis), metric_tokens(reference), max_order)
+    assert got == oracle.sentence_bleu(hypothesis, [reference], max_order)
+
+
+# ``sentence_bleu`` calls ``_pair_bleu`` for one distinct reference, so the BLEU tests above
+# check it too; these call it directly.
+@given(_SENTENCE, _SENTENCE, st.integers(1, 5))
+@example("", "", 1)  # an empty hypothesis and reference
+@example("the cat sat", "the cat sat", 5)  # equal token lists
+@example("the cat", "the cat sat on the mat", 4)  # shorter than the order
+@example("the the the cat", "cat the the", 2)  # repeated n-grams
+@settings(max_examples=1000)
+def test_pair_bleu_on_small_vocabulary(hypothesis, reference, max_order):
+    _assert_pair_bleu_equal(hypothesis, reference, max_order)
+
+
+@given(TEXT, TEXT, st.integers(1, 5))
+@settings(max_examples=500)
+def test_pair_bleu_on_any_text(hypothesis, reference, max_order):
+    _assert_pair_bleu_equal(hypothesis, reference, max_order)
+
+
+def test_pair_bleu_matches_the_corpus_kernel_on_synthetic_pairs():
+    # The builder's pairs: each translation scored against its own target.
+    targets, translations = make_aligned_streams(8000, seed=109)
+    for target, translation in zip(targets, translations):
+        hyp, ref = metric_tokens(translation), metric_tokens(target)
+        assert _pair_bleu(hyp, ref) == _token_bleu([(hyp, [ref])], 4, True), (target, translation)
+
+
+# Words that meet the syllable patterns: vowel runs, a final e, the add and subtract rules.
+_FKGL_WORD = st.lists(
+    st.sampled_from(["a", "e", "i", "o", "u", "y", "b", "l", "n", "q", "g", "c", "s", "t", "m", "d"]),
+    max_size=12,
+).map("".join)
+
+
+@given(st.one_of(_FKGL_WORD, st.sampled_from(sorted(_FKGL_SPECIAL_WORDS)), st.text(max_size=20)))
+@example("Queue ")
+@example("coaxial")
+@settings(max_examples=2000)
+def test_fkgl_syllables_match_the_character_loop(token):
+    assert _fkgl_syllables(token) == oracle._fkgl_syllables(token)
+
+
+def test_fkgl_syllables_match_on_the_eval_sets():
+    for name in ("turkcorpus", "asset"):
+        sources, references = read_eval_dataset(_EVAL_DATA / name)
+        for text in [*sources, *(ref for refs in references for ref in refs)]:
+            for token in metric_tokens(text.lower()):
+                assert _fkgl_syllables(token) == oracle._fkgl_syllables(token), token
 
 
 @given(TEXT)

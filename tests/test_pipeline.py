@@ -435,7 +435,7 @@ class TestCorpusStats:
 @pytest.fixture
 def scheme_calls(monkeypatch):
     """Count the pipeline's calls of each tokenizer and counter, and of the BLEU kernel, by name."""
-    calls = dict.fromkeys(("metric_tokens", "text_stats", "tokenize_words", "_token_bleu"), 0)
+    calls = dict.fromkeys(("metric_tokens", "text_stats", "tokenize_words", "_pair_bleu"), 0)
     for name in calls:
         original = getattr(pipeline, name)
 
@@ -458,7 +458,7 @@ class TestOneComputationPerScheme:
             "metric_tokens": 2 * self.N,
             "text_stats": 2 * self.N,
             "tokenize_words": 0,
-            "_token_bleu": self.N,
+            "_pair_bleu": self.N,
         }
 
     def assert_scored_where_reached(self, scheme_calls, config, n_bleu, n_stats):
@@ -473,9 +473,9 @@ class TestOneComputationPerScheme:
             "metric_tokens": 2 * reached_bleu,
             "text_stats": 2 * (reached_bleu - tally.dropped_bleu),
             "tokenize_words": 0,
-            "_token_bleu": reached_bleu,
+            "_pair_bleu": reached_bleu,
         }
-        assert (scheme_calls["_token_bleu"], scheme_calls["text_stats"]) == (n_bleu, n_stats)
+        assert (scheme_calls["_pair_bleu"], scheme_calls["text_stats"]) == (n_bleu, n_stats)
 
     def test_default_build_reuses_the_selectors_word_counts(self, scheme_calls):
         self.assert_scored_where_reached(scheme_calls, SelectorConfig(), 371, 498)
@@ -499,7 +499,7 @@ class TestOneComputationPerScheme:
         (labeled,) = fres_selector(bleu_selector([pair], SelectorConfig()), SelectorConfig(), EN)
         assert labeled.bleu == 99.0
         assert labeled.provenance == "translated"
-        assert scheme_calls["_token_bleu"] == scheme_calls["metric_tokens"] == 0
+        assert scheme_calls["_pair_bleu"] == scheme_calls["metric_tokens"] == 0
 
     def test_a_pre_scored_reading_ease_is_used_as_given(self, scheme_calls):
         pair = SentencePair("Zebras run.", "Cats sit on mats.", 0, fres_source=-50.0)

@@ -137,7 +137,7 @@ def test_selectors_match_oracle(h_bleu, h_fres, drop_identity, pre_scored, monke
     counted = []
     if pre_scored:
         pairs = [pipeline_oracle.score_pair(pair, config, EN) for pair in pairs]
-        for name in ("metric_tokens", "text_stats", "_token_bleu"):
+        for name in ("metric_tokens", "text_stats", "_pair_bleu"):
             original = getattr(pipeline, name)
 
             def record(*args, _name=name, _original=original):
