@@ -9,7 +9,9 @@ from any number of workers.
 The 13a punctuation class is ASCII-only and context-free, so one
 ``str.translate`` table pads it. The three digit-aware rules run as regular
 expressions only on text with an ASCII digit; without one, a second table
-pads every ``.`` and ``,``.
+pads every ``.`` and ``,``. Both tables map every ASCII code, most to itself:
+translate raises and clears an exception for each character without an entry.
+A non-ASCII character is looked up that slow way and gives the same tokens.
 """
 
 from __future__ import annotations
@@ -85,14 +87,11 @@ _13A_PERIOD_AFTER = re.compile(r"([^0-9])([\.,])")
 _13A_PERIOD_BEFORE = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
 
-# The punctuation class as a translate table. The space is left out: padding
-# it changes only the amount of whitespace, which the final split discards.
-_13A_PUNCT_TABLE = {
-    code: f" {chr(code)} "
-    for code in range(128)
-    if chr(code) != " " and _13A_PUNCT.fullmatch(chr(code))
-}
-_13A_DIGIT_FREE_TABLE = {**_13A_PUNCT_TABLE, ord("."): " . ", ord(","): " , "}
+# The space maps to itself: padding it changes only whitespace, which the split discards.
+_13A_PUNCT_TABLE = tuple(
+    f" {c} " if c != " " and _13A_PUNCT.fullmatch(c) else c for c in map(chr, range(128))
+)
+_13A_DIGIT_FREE_TABLE = tuple(f" {c} " if c in ".," else c for c in _13A_PUNCT_TABLE)
 
 
 def _has_digit(text: str) -> bool:

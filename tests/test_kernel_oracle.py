@@ -34,7 +34,14 @@ from sscorpus.metrics import (
     sari,
     sentence_bleu,
 )
-from sscorpus.textprep import PROFILES, metric_tokens, split_sentences, text_stats
+from sscorpus.textprep import (
+    _13A_DIGIT_FREE_TABLE,
+    _13A_PUNCT_TABLE,
+    PROFILES,
+    metric_tokens,
+    split_sentences,
+    text_stats,
+)
 
 # Pieces the 13a rules treat specially, so generated text meets every rule
 # and the boundaries between them.
@@ -113,6 +120,30 @@ def test_metric_tokens_match_on_synthetic_corpus():
         assert metric_tokens(text) == oracle.metric_tokens(text), text
         lowered = text.lower()
         assert metric_tokens(lowered) == oracle.metric_tokens(lowered), lowered
+
+
+# Every ASCII code, the first code past it, and characters no translate table
+# has an entry for: a no-break space, a curly apostrophe, an ideographic space
+# and a lone surrogate. The strategies above rarely reach every ASCII code.
+_TABLE_CHARS = [chr(code) for code in range(129)] + ["\u00a0", "\u2019", "\u3000", "\ud800"]
+
+
+# Alone, between letters, between digits, before a period, and between a
+# letter and a digit before a comma: digit-free text and the digit rules.
+@pytest.mark.parametrize("context", ["{}", "a{}b", "1{}2", "{}.", "x{}5,"])
+def test_metric_tokens_match_for_every_ascii_code(context):
+    for char in _TABLE_CHARS:
+        for text in (context.format(char), context.format(char).lower()):
+            assert metric_tokens(text) == oracle.metric_tokens(text), repr(text)
+
+
+# A code missing from a table changes no token, only the speed: translate then
+# raises and clears a lookup error for it. So only this test notices a lost entry.
+@pytest.mark.parametrize("table", [_13A_PUNCT_TABLE, _13A_DIGIT_FREE_TABLE])
+def test_translate_tables_map_every_ascii_code(table):
+    assert len(table) == 128
+    for code in range(128):
+        assert table[code] in (chr(code), f" {chr(code)} "), code
 
 
 @given(_SENTENCE, _SENTENCE)
