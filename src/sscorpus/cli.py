@@ -73,7 +73,7 @@ def _add_corpus_args(parser: argparse.ArgumentParser, out_help: str) -> None:
     )
     parser.add_argument("--workers", type=_at_least(1), default=1, help="scoring worker processes")
     parser.add_argument("--out", required=True, help=out_help)
-    parser.add_argument("--format", default="plain", choices=("plain", "tsv"))
+    parser.add_argument("--format", default="plain", choices=ingest.FORMATS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="report statistics of a written corpus")
     p_stats.add_argument("--corpus", required=True, help="corpus path prefix")
-    p_stats.add_argument("--format", default="plain", choices=("plain", "tsv"))
+    p_stats.add_argument("--format", default="plain", choices=ingest.FORMATS)
 
     p_ablate = sub.add_parser("ablate", help="build the four selector variants")
     _add_corpus_args(p_ablate, "output path prefix (variant suffix added)")
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_subset.add_argument("-n", type=_at_least(0), required=True, help="number of pairs to keep")
     p_subset.add_argument("--seed", type=int, default=0)
     p_subset.add_argument("--out", required=True, help="output path prefix")
-    p_subset.add_argument("--format", default="plain", choices=("plain", "tsv"))
+    p_subset.add_argument("--format", default="plain", choices=ingest.FORMATS)
 
     return parser
 

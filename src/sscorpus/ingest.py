@@ -33,6 +33,7 @@ from .pipeline import (
 from .textprep import get_profile
 
 
+FORMATS = {"plain": (".complex", ".simple"), "tsv": (".tsv",)}  # each corpus format's pair-file suffixes
 _TSV_HEADER = "complex\tsimple\tbleu\tfres_complex\tfres_simple\tfres_gap"
 
 
@@ -205,11 +206,9 @@ def _parse_score(text: str) -> Optional[float]:
 
 def _pair_paths(prefix: Path | str, format: str) -> list[Path]:
     """The pair files of a corpus at ``prefix``; the one place a format name is checked."""
-    if format == "plain":
-        return [Path(f"{prefix}.complex"), Path(f"{prefix}.simple")]
-    if format == "tsv":
-        return [Path(f"{prefix}.tsv")]
-    raise ValueError(f"unknown corpus format {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"unknown corpus format {format!r}")
+    return [Path(f"{prefix}{suffix}") for suffix in FORMATS[format]]
 
 
 class CorpusWriter:
@@ -230,7 +229,6 @@ class CorpusWriter:
         prefix = Path(out_prefix)
         self.paths = [*_pair_paths(prefix, format), Path(f"{prefix}.meta.json")]
         self.format = format
-        self._tsv = format == "tsv"
         self._temporary = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in self.paths]
         self._created: list[Path] = []
         self._new_dirs = [d for d in (prefix.parent, *prefix.parent.parents) if not d.exists()]
@@ -239,7 +237,7 @@ class CorpusWriter:
         try:
             files = [self._files.enter_context(self._create(p)) for p in self._temporary[:-1]]
             self._writes = [fh.write for fh in files]
-            if self._tsv:
+            if format == "tsv":
                 self._writes[0](_TSV_HEADER + "\n")
         except BaseException:
             self.__exit__()
@@ -267,7 +265,7 @@ class CorpusWriter:
     def extend(self, pairs: list[LabeledPair]) -> None:
         """Write ``pairs``, each file once; a sentence the reader could not give back is an error
         naming its pair, and then none of ``pairs`` is written."""
-        tsv = self._tsv
+        tsv = self.format == "tsv"
         for pair in pairs:
             for text in (pair.complex, pair.simple):
                 if "\n" in text or text.endswith("\r") or (tsv and "\t" in text):

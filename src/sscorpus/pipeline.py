@@ -38,7 +38,7 @@ from collections import deque
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, count, islice, starmap, zip_longest
+from itertools import chain, count, islice, zip_longest
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Protocol, Sequence
 
 from .metrics import _fres_formula, _pair_bleu
@@ -167,20 +167,20 @@ def generate_pseudo_pairs(
 
 
 def _decide(
-    configs: Sequence[SelectorConfig], profile: Optional[LanguageProfile], start: int,
+    configs: Sequence[SelectorConfig], profile: Optional[LanguageProfile],
     chunk: list[tuple[str, str]], scores: Optional[list[tuple]] = None,
 ) -> tuple[list[tuple], list[tuple[int, int]], list[tuple], list, list]:
-    """Decide ``(source, translation)`` pairs numbered from ``start`` for every configuration.
+    """Decide ``(source, translation)`` pairs for every configuration.
 
     Runs each check of the module docstring once, over the pairs some
     configuration has not yet decided. ``scores`` holds each pair's given
     (BLEU, source ease, translation ease); a score that is not None is kept.
     Side 2j is pair j's source and 2j + 1 its translation. Returns the kept
-    records as LabeledPair field tuples, at most one unlabeled and one
-    labeled per pair, with their (complex, simple) side numbers; per
-    configuration its drop counts by DropTally field and its kept records'
-    positions, in input order; and per side its 13a tokens and readability
-    counts, or None where no check made them.
+    records as LabeledPair field tuples indexed by position in ``chunk``, at
+    most one unlabeled and one labeled per pair, with their (complex, simple)
+    side numbers; per configuration its drop counts by DropTally field and its
+    kept records' positions, in input order; and per side its 13a tokens and
+    readability counts, or None where no check made them.
     """
     n = len(chunk)
     texts = [text for pair in chunk for text in pair]
@@ -250,7 +250,7 @@ def _decide(
                         complex_side, simple_side, provenance, gap = 2 * j + 1, 2 * j, "source", -gap
                 slot[j] = len(rows)
                 rows.append((
-                    texts[complex_side], texts[simple_side], gap, provenance, start + j, bleu[j],
+                    texts[complex_side], texts[simple_side], gap, provenance, j, bleu[j],
                     fres[complex_side], fres[simple_side],
                 ))
                 sides.append((complex_side, simple_side))
@@ -273,7 +273,7 @@ def _selected(
     while chunk := list(islice(pairs, CHUNK_SIZE)):
         texts = [(pair.source_sentence, pair.translated_sentence) for pair in chunk]
         scores = [(pair.bleu, pair.fres_source, pair.fres_translated) for pair in chunk]
-        rows, _, ((drops, positions),), _, _ = _decide((config,), profile, 0, texts, scores)
+        rows, _, ((drops, positions),), _, _ = _decide((config,), profile, texts, scores)
         if tally is not None:
             for reason, n_dropped in drops.items():
                 setattr(tally, reason, getattr(tally, reason) + n_dropped)
@@ -292,6 +292,7 @@ def bleu_selector(
     Exact copies (equal after NFC normalization) are dropped first when
     ``drop_identity`` is set. Survivors are copies that carry their BLEU
     score; the input pairs are not changed, and input order is preserved.
+    Only drop counts are added to ``tally``: its ``n_input`` and ``n_kept`` stay 0.
     """
     if not config.enable_bleu:
         raise ValueError("bleu_selector called with enable_bleu=False")
@@ -307,9 +308,10 @@ def fres_selector(
 ) -> Iterator[LabeledPair]:
     """Keep pairs with a reading-ease gap >= h_fres (inclusive) and label them.
 
-    Pairs with a side that has no countable words are dropped and tallied,
-    not raised. Pairs with identical sides are never labeled (relevant only
-    at h_fres = 0, where the zero gap would otherwise pass).
+    Pairs with a side that has no countable words are dropped, not raised;
+    pairs with identical sides are never labeled (relevant only at h_fres = 0,
+    where the zero gap would otherwise pass). Only drop counts are added to
+    ``tally``, as in :func:`bleu_selector`: its ``n_input`` and ``n_kept`` stay 0.
     """
     if not config.enable_fres:
         raise ValueError("fres_selector called with enable_fres=False")
@@ -318,17 +320,16 @@ def fres_selector(
 
 
 def _decide_chunk(
-    configs: Sequence[SelectorConfig], profile: LanguageProfile, start: int,
-    chunk: list[tuple[str, str]],
+    configs: Sequence[SelectorConfig], profile: LanguageProfile, chunk: list[tuple[str, str]]
 ) -> tuple[list[tuple], list[tuple[int, int]], list[tuple]]:
-    """Decide ``(target, translation)`` pairs numbered from ``start`` for every configuration.
+    """Decide ``(target, translation)`` pairs for every configuration.
 
-    Returns the chunk's kept pairs as LabeledPair field tuples with their
-    (complex, simple) word counts, and per configuration a record: its drop
-    counts by DropTally field, the positions of its kept pairs, and each
-    side's vocabulary.
+    Returns the chunk's kept pairs as ``_decide``'s LabeledPair field tuples
+    with their (complex, simple) word counts, and per configuration a record:
+    its drop counts by DropTally field, the positions of its kept pairs, and
+    each side's vocabulary.
     """
-    rows, sides, decided, tokens, stats = _decide(configs, profile, start, chunk)
+    rows, sides, decided, tokens, stats = _decide(configs, profile, chunk)
     texts = [text for pair in chunk for text in pair]
     n_words = {}
     for side in {side for kept_sides in sides for side in kept_sides}:
@@ -355,14 +356,14 @@ def _end_with_parent() -> None:
     Thread(target=lambda: (parent_process().join(), os._exit(1)), daemon=True).start()
 
 
-def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterator:
-    """``decide(*chunk)`` for each chunk, in input order.
+def _replies(decide: Callable, chunks: Iterable[list], workers: int) -> Iterator:
+    """``decide(chunk)`` for each chunk, in input order.
 
     With several workers the calling thread reads the chunks and feeds them, at most two per
     worker waiting; a worker that dies raises ``BrokenProcessPool`` instead of hanging.
     """
     if workers <= 1:
-        yield from starmap(decide, chunks)
+        yield from map(decide, chunks)
         return
     # Not for one worker: these load socket, pickle and threading.
     from concurrent.futures import ProcessPoolExecutor
@@ -377,7 +378,7 @@ def _replies(decide: Callable, chunks: Iterable[tuple], workers: int) -> Iterato
             # process alone, even while a worker starts, and unwinding here ends the workers.
             mask = pthread_sigmask(SIG_BLOCK, {SIGINT})
             try:
-                waiting.append(pool.submit(decide, *chunk))
+                waiting.append(pool.submit(decide, chunk))
             finally:
                 pthread_sigmask(SIG_SETMASK, mask)
             if len(waiting) > 2 * workers:
@@ -482,13 +483,14 @@ def _build(
         _Collector(pairs if sink is None else sink, config.dedup)
         for config, sink, pairs in zip(configs, sinks, kept)
     ]
-    decide = partial(_decide_chunk, configs, profile)
     aligned = _aligned(bitext_targets, translations)
-    # (index of the first pair, pairs) per chunk; only the last chunk can be short.
-    chunks = zip(count(0, CHUNK_SIZE), iter(lambda: list(islice(aligned, CHUNK_SIZE)), []))
-    with closing(_replies(decide, chunks, workers)) as replies:
-        for rows, words, records in replies:
-            labeled = [LabeledPair(*row) for row in rows]
+    chunks = iter(lambda: list(islice(aligned, CHUNK_SIZE)), [])  # only the last can be short
+    with closing(_replies(partial(_decide_chunk, configs, profile), chunks, workers)) as replies:
+        for start, (rows, words, records) in zip(count(0, CHUNK_SIZE), replies):
+            labeled = [
+                LabeledPair(c, s, gap, provenance, start + j, bleu, fres_c, fres_s)
+                for c, s, gap, provenance, j, bleu, fres_c, fres_s in rows
+            ]
             for collector, record in zip(collectors, records):
                 collector.merge(labeled, words, record)
     return [

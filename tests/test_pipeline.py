@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from sscorpus.pipeline import DropTally, LabeledPair
 from sscorpus.textprep import get_profile
 
 EN = get_profile("en")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 # Sample bitext triple: trusted sentence on the left, back-translation on the
 # right. Under this artifact's counting rules the middle pair's ease gap is
@@ -312,6 +314,37 @@ class TestBuildCorpus:
         assert result.returncode != 0
         assert "BrokenProcessPool" in result.stderr
         assert time.monotonic() - started < 60
+
+    def test_chunks_larger_than_the_pipe_buffers_give_the_same_corpora(self, child_env):
+        # Each sentence repeated 60 times: a 64-pair chunk and its reply hold about 580,000
+        # characters, more than a pipe or socket buffer (64 KiB and 208 KiB on Linux), so a
+        # worker pipe design that waits on both ends at once would hang here.
+        script = textwrap.dedent("""
+            from synth import make_aligned_streams
+            from sscorpus.pipeline import SelectorConfig, ablate, build_corpus
+            from sscorpus.textprep import get_profile
+
+            en = get_profile("en")
+            targets, translations = (
+                [" ".join([line] * 60) for line in side] for side in make_aligned_streams(200, 13)
+            )
+            assert sum(map(len, targets[:64] + translations[:64])) > 500_000
+
+            def same(a, b):
+                return a.pairs and (a.pairs, a.stats, a.drop_tally) == (b.pairs, b.stats, b.drop_tally)
+
+            config = SelectorConfig()
+            one, two = (build_corpus(targets, translations, config, en, workers=n) for n in (1, 2))
+            assert same(one, two)
+            one, two = (ablate(targets, translations, en, config, workers=n) for n in (1, 2))
+            assert all(same(one[name], two[name]) for name in one)
+            print("same")
+        """)
+        env = {**child_env, "PYTHONPATH": os.pathsep.join((child_env["PYTHONPATH"], TESTS))}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "same\n", "")
 
 
 class TestFilterAlgebra:
