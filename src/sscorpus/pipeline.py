@@ -10,7 +10,7 @@ enabled checks in this order and stops at the first that drops the pair:
 2. reading-ease selector: a side with no countable words, then an ease gap
    below ``h_fres``, then identical sides (never labeled, even at
    ``h_fres`` = 0). Survivors are labeled with the easier side as the
-   simple one.
+   simple one (the translation on a tie).
 
 A score is computed only when a check reaches it, so a kept pair carries the
 scores of the enabled selectors and the others stay None (empty in TSV).
@@ -88,7 +88,7 @@ class SelectorConfig:
 
 @dataclass
 class LabeledPair:
-    """A kept pair with the easier side labeled simple.
+    """A kept pair with the easier side labeled simple, the translation on a tie.
 
     ``provenance`` records which input side became the simple sentence
     ("source", "translated", or "unlabeled" when no selector assigned
@@ -234,28 +234,23 @@ def _decide(
     rows: list[tuple] = []
     sides: list[tuple[int, int]] = []
     slots = {False: [None] * n, True: [None] * n}  # whether labeled -> per pair its kept record
-    records = []
     for i, config in enumerate(configs):
-        labeled = config.enable_fres
-        slot, positions = slots[labeled], []
+        labeled, slot = config.enable_fres, slots[config.enable_fres]
         for j in undecided[i]:
             if slot[j] is None:
-                complex_side, simple_side, provenance, gap = 2 * j, 2 * j + 1, "unlabeled", 0.0
-                if labeled:
-                    gap = fres[2 * j + 1] - fres[2 * j]
-                    # The side with the higher reading-ease score is the simple one.
-                    if fres[2 * j + 1] >= fres[2 * j]:
-                        provenance = "translated"
-                    else:  # negating the gap is exact: a - b == -(b - a)
-                        complex_side, simple_side, provenance, gap = 2 * j + 1, 2 * j, "source", -gap
+                # The side with the higher reading ease is simple; a tie goes to the translation.
+                swap = labeled and fres[2 * j] > fres[2 * j + 1]
+                complex_side, simple_side = 2 * j + swap, 2 * j + 1 - swap
+                provenance = "source" if swap else "translated" if labeled else "unlabeled"
+                gap = fres[simple_side] - fres[complex_side] if labeled else 0.0
                 slot[j] = len(rows)
                 rows.append((
                     texts[complex_side], texts[simple_side], gap, provenance, j, bleu[j],
                     fres[complex_side], fres[simple_side],
                 ))
                 sides.append((complex_side, simple_side))
-            positions.append(slot[j])
-        records.append((drops[i], positions))
+    records = [(drops[i], [slots[config.enable_fres][j] for j in undecided[i]])
+               for i, config in enumerate(configs)]
     return rows, sides, records, tokens, stats
 
 

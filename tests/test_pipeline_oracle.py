@@ -55,6 +55,7 @@ EDGE_PAIRS = [
     (" ".join(["hello"] * 13 + ["go"] * 5) + ".", " ".join(["hello"] * 7 + ["go"] * 3) + "."),
     # the source side is the simple one, and each side has words of its own
     ("Zebras run.", "Zebras are running extraordinarily energetically nowadays."),
+    ("Cats sit.", "Dogs sit."),  # different sides of equal reading ease: the translation is simple
 ]
 
 
@@ -96,6 +97,8 @@ def test_fixture_reaches_every_drop_reason():
     for reason in ("identity", "bleu", "fres", "no_words", "duplicate"):
         assert any(getattr(tally, f"dropped_{reason}") for tally in tallies), reason
     assert _expected(SelectorConfig(dedup=True)).drop_tally.n_kept > 0
+    tied = [pair for pair in _expected(SelectorConfig(0.0, 0.0)).pairs if pair.complex == "Cats sit."]
+    assert [(p.simple, p.fres_gap, p.provenance) for p in tied] == [("Dogs sit.", 0.0, "translated")]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
