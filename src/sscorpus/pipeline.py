@@ -169,18 +169,18 @@ def generate_pseudo_pairs(
 def _decide(
     configs: Sequence[SelectorConfig], profile: Optional[LanguageProfile],
     chunk: list[tuple[str, str]], scores: Optional[list[tuple]] = None,
-) -> tuple[list[tuple], list[tuple[int, int]], list[tuple], list, list]:
+) -> tuple[list[tuple], list[tuple], list, list]:
     """Decide ``(source, translation)`` pairs for every configuration.
 
     Runs each check of the module docstring once, over the pairs some
     configuration has not yet decided. ``scores`` holds each pair's given
     (BLEU, source ease, translation ease); a score that is not None is kept.
-    Side 2j is pair j's source and 2j + 1 its translation. Returns the kept
-    records as LabeledPair field tuples indexed by position in ``chunk``, at
-    most one unlabeled and one labeled per pair, with their (complex, simple)
-    side numbers; per configuration its drop counts by DropTally field and its
-    kept records' positions, in input order; and per side its 13a tokens and
-    readability counts, or None where no check made them.
+    Side 2j is pair j's source and 2j + 1 its translation. Returns four lists:
+    the kept records as LabeledPair field tuples, at most one unlabeled and one
+    labeled per pair, with the complex side (pair ``side // 2``, simple side
+    ``side ^ 1``) as the fifth field; per configuration its drop counts by
+    DropTally field and its kept records' positions, in input order; and per
+    side its 13a tokens and readability counts, or None where no check made them.
     """
     n = len(chunk)
     texts = [text for pair in chunk for text in pair]
@@ -232,7 +232,6 @@ def _decide(
             keep(i, "dropped_identity", [j for j in undecided[i] if not identical[j]])
 
     rows: list[tuple] = []
-    sides: list[tuple[int, int]] = []
     slots = {False: [None] * n, True: [None] * n}  # whether labeled -> per pair its kept record
     for i, config in enumerate(configs):
         labeled, slot = config.enable_fres, slots[config.enable_fres]
@@ -240,18 +239,17 @@ def _decide(
             if slot[j] is None:
                 # The side with the higher reading ease is simple; a tie goes to the translation.
                 swap = labeled and fres[2 * j] > fres[2 * j + 1]
-                complex_side, simple_side = 2 * j + swap, 2 * j + 1 - swap
+                side = 2 * j + swap
                 provenance = "source" if swap else "translated" if labeled else "unlabeled"
-                gap = fres[simple_side] - fres[complex_side] if labeled else 0.0
+                gap = fres[side ^ 1] - fres[side] if labeled else 0.0
                 slot[j] = len(rows)
                 rows.append((
-                    texts[complex_side], texts[simple_side], gap, provenance, j, bleu[j],
-                    fres[complex_side], fres[simple_side],
+                    texts[side], texts[side ^ 1], gap, provenance, side, bleu[j],
+                    fres[side], fres[side ^ 1],
                 ))
-                sides.append((complex_side, simple_side))
     records = [(drops[i], [slots[config.enable_fres][j] for j in undecided[i]])
                for i, config in enumerate(configs)]
-    return rows, sides, records, tokens, stats
+    return rows, records, tokens, stats
 
 
 def _selected(
@@ -268,12 +266,12 @@ def _selected(
     while chunk := list(islice(pairs, CHUNK_SIZE)):
         texts = [(pair.source_sentence, pair.translated_sentence) for pair in chunk]
         scores = [(pair.bleu, pair.fres_source, pair.fres_translated) for pair in chunk]
-        rows, _, ((drops, positions),), _, _ = _decide((config,), profile, texts, scores)
+        rows, ((drops, positions),), _, _ = _decide((config,), profile, texts, scores)
         if tally is not None:
             for reason, n_dropped in drops.items():
                 setattr(tally, reason, getattr(tally, reason) + n_dropped)
         for row in map(rows.__getitem__, positions):
-            pair = chunk[row[4]]
+            pair = chunk[row[4] // 2]
             yield pair, LabeledPair(*row[:4], pair.index, *row[5:])
 
 
@@ -324,19 +322,19 @@ def _decide_chunk(
     its drop counts by DropTally field, the positions of its kept pairs, and
     each side's vocabulary.
     """
-    rows, sides, decided, tokens, stats = _decide(configs, profile, chunk)
+    rows, decided, tokens, stats = _decide(configs, profile, chunk)
     texts = [text for pair in chunk for text in pair]
     n_words = {}
-    for side in {side for kept_sides in sides for side in kept_sides}:
+    for side in {row[4] ^ simple for row in rows for simple in (0, 1)}:
         if tokens[side] is None:
             tokens[side] = metric_tokens(texts[side])
         # The readability counts hold the word count once a check has made them.
         counts = stats[side]
         n_words[side] = len(tokenize_words(texts[side]).tokens) if counts is None else counts.n_words
-    words = [(n_words[complex_side], n_words[simple_side]) for complex_side, simple_side in sides]
+    words = [(n_words[row[4]], n_words[row[4] ^ 1]) for row in rows]
     records = [
         (drops, positions, *(
-            set().union(*[tokens[sides[k][which]] for k in positions]) for which in (0, 1)
+            set().union(*[tokens[rows[k][4] ^ simple] for k in positions]) for simple in (0, 1)
         ))
         for drops, positions in decided
     ]
@@ -371,6 +369,8 @@ def _replies(decide: Callable, chunks: Iterable[list], workers: int) -> Iterator
         for chunk in chunks:
             # A worker started by a submit inherits the blocked SIGINT, so Ctrl-C reaches this
             # process alone, even while a worker starts, and unwinding here ends the workers.
+            # The constructor has started multiprocessing's resource tracker: a tracker first
+            # started inside the mask would unblock SIGINT and SIGTERM in this thread.
             mask = pthread_sigmask(SIG_BLOCK, {SIGINT})
             try:
                 waiting.append(pool.submit(decide, chunk))
@@ -483,8 +483,8 @@ def _build(
     with closing(_replies(partial(_decide_chunk, configs, profile), chunks, workers)) as replies:
         for start, (rows, words, records) in zip(count(0, CHUNK_SIZE), replies):
             labeled = [
-                LabeledPair(c, s, gap, provenance, start + j, bleu, fres_c, fres_s)
-                for c, s, gap, provenance, j, bleu, fres_c, fres_s in rows
+                LabeledPair(c, s, gap, provenance, start + side // 2, bleu, fres_c, fres_s)
+                for c, s, gap, provenance, side, bleu, fres_c, fres_s in rows
             ]
             for collector, record in zip(collectors, records):
                 collector.merge(labeled, words, record)
@@ -511,7 +511,9 @@ def build_corpus(
     return corpus
 
 
-ABLATION_VARIANTS = ("pseudo", "no_bleu", "no_fres", "full")
+ABLATION_VARIANTS = {
+    "pseudo": (False, False), "no_bleu": (False, True), "no_fres": (True, False), "full": (True, True)
+}
 
 
 def ablate(
@@ -525,17 +527,13 @@ def ablate(
     """Build the four selector variants from one shared scoring pass.
 
     Returns corpora keyed "pseudo" (no selectors), "no_bleu" (ease selector
-    only), "no_fres" (BLEU selector only), and "full". With ``sinks``, keyed
-    the same way, each variant's kept pairs go to its sink and its corpus
-    has no ``pairs``.
+    only), "no_fres" (BLEU selector only), and "full", in that order;
+    ``ABLATION_VARIANTS`` maps each name to its ``(enable_bleu, enable_fres)``.
+    With ``sinks``, keyed the same way, each variant's kept pairs go to its
+    sink and its corpus has no ``pairs``.
     """
     base = config or SelectorConfig()
-    configs = (
-        replace(base, enable_bleu=False, enable_fres=False),
-        replace(base, enable_bleu=False, enable_fres=True),
-        replace(base, enable_bleu=True, enable_fres=False),
-        replace(base, enable_bleu=True, enable_fres=True),
-    )
+    configs = [replace(base, enable_bleu=b, enable_fres=f) for b, f in ABLATION_VARIANTS.values()]
     variant_sinks = [None if sinks is None else sinks[name] for name in ABLATION_VARIANTS]
     corpora = _build(bitext_targets, translations, configs, profile, workers, variant_sinks)
     return dict(zip(ABLATION_VARIANTS, corpora))

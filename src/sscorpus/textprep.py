@@ -190,12 +190,7 @@ def _syllable_counter(
                     count += sum(
                         1 for a, b in zip(cluster, cluster[1:]) if a in strong and b in strong
                     )
-            if (
-                silent_final_e
-                and count > 1
-                and part.endswith("e")
-                and (len(part) < 2 or part[-2] not in vowels)
-            ):
+            if silent_final_e and count > 1 and part.endswith("e") and part[-2] not in vowels:
                 count -= 1
             total += count
         return max(total, 1)

@@ -315,6 +315,41 @@ class TestBuildCorpus:
         assert "BrokenProcessPool" in result.stderr
         assert time.monotonic() - started < 60
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads SigBlk (Linux only)")
+    def test_every_worker_starts_with_sigint_blocked(self, child_env):
+        # Ctrl-C must reach the main process alone. A worker design whose first process starts
+        # before multiprocessing's resource tracker, inside the SIGINT mask, gets a worker that
+        # takes the signal: starting the tracker unblocks SIGINT in the calling thread.
+        script = textwrap.dedent("""
+            import multiprocessing, signal
+            from sscorpus.pipeline import CHUNK_SIZE, SelectorConfig, build_corpus
+            from sscorpus.textprep import get_profile
+
+            def sigint_blocked(pid):
+                with open(f"/proc/{pid}/status") as status:
+                    mask = next(line for line in status if line.startswith("SigBlk:")).split()[1]
+                return bool(int(mask, 16) >> (signal.SIGINT - 1) & 1)
+
+            blocked = {}
+
+            def translations(lines):
+                for k, line in enumerate(lines):
+                    if k % CHUNK_SIZE == 0 and k >= 3 * CHUNK_SIZE:  # a few chunks in
+                        for worker in multiprocessing.active_children():
+                            blocked.setdefault(worker.pid, sigint_blocked(worker.pid))
+                    yield line
+
+            lines = ["The cat sat on the mat."] * (20 * CHUNK_SIZE)
+            build_corpus(lines, translations(lines), SelectorConfig(), get_profile("en"), workers=2)
+            print(*blocked.values())
+        """)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=child_env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        blocked = result.stdout.split()  # one True or False per worker seen
+        assert blocked and set(blocked) == {"True"}, blocked
+
     def test_chunks_larger_than_the_pipe_buffers_give_the_same_corpora(self, child_env):
         # Each sentence repeated 60 times: a 64-pair chunk and its reply hold about 580,000
         # characters, more than a pipe or socket buffer (64 KiB and 208 KiB on Linux), so a
