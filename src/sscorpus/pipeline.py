@@ -385,14 +385,15 @@ def _replies(decide: Callable, chunks: Iterable[list], workers: int) -> Iterator
 
 
 class _Collector:
-    """A corpus's drop tally and statistics, merged from chunk records in input order.
+    """A corpus's kept pairs, drop tally and statistics, merged from chunk records in input order.
 
     Drops repeated (complex, simple) pairs under ``dedup`` and hands each
-    chunk's kept pairs to ``sink`` in one call.
+    chunk's kept pairs to ``sink`` in one call; given no sink, it keeps them in ``pairs``.
     """
 
     def __init__(self, sink: Optional[Sink], dedup: bool = False) -> None:
-        self.sink, self.dedup = sink, dedup
+        self.pairs: list[LabeledPair] = []
+        self.sink, self.dedup = self.pairs if sink is None else sink, dedup
         self.tally = DropTally()
         self.seen: set[bytes] = set()
         if dedup:
@@ -427,8 +428,7 @@ class _Collector:
             unseen = [i for i in kept if self._unseen(pairs[i])]
             tally.dropped_duplicate += len(kept) - len(unseen)
             kept = unseen
-        if self.sink is not None:
-            self.sink.extend([pairs[i] for i in kept])
+        self.sink.extend([pairs[i] for i in kept])
         tally.n_kept += len(kept)
         self.vocab_complex |= vocab_complex
         self.vocab_simple |= vocab_simple
@@ -445,13 +445,16 @@ class _Collector:
             total_pairs=total,
         )
 
+    def corpus(self, lang: str, config: SelectorConfig) -> SimplificationCorpus:
+        return SimplificationCorpus(self.pairs, lang, config, self.stats(), self.tally)
+
 
 def compute_corpus_stats(pairs: Iterable[LabeledPair], sink: Optional[Sink] = None) -> CorpusStats:
     """Distinct-token vocabulary and mean word length per side, in one pass over ``pairs``.
 
-    The pairs are also handed to ``sink``, a chunk at a time, when one is given.
+    The pairs go to ``sink`` a chunk at a time when one is given; else none outlives its chunk.
     """
-    collector = _Collector(sink)
+    collector = _Collector(deque(maxlen=0) if sink is None else sink)
     pairs = iter(pairs)
     while chunk := list(islice(pairs, CHUNK_SIZE)):
         sides = [(pair.complex, pair.simple) for pair in chunk]
@@ -471,13 +474,9 @@ def _build(
 ) -> list[SimplificationCorpus]:
     """Decide the pairs a chunk at a time and hand each configuration's kept pairs to its sink.
 
-    Returns one corpus per configuration, whose ``pairs`` are its kept pairs if it has no sink.
+    Returns one corpus per configuration; with no sink, its collector keeps its ``pairs``.
     """
-    kept: list[list[LabeledPair]] = [[] for _ in configs]  # filled where no sink is given
-    collectors = [
-        _Collector(pairs if sink is None else sink, config.dedup)
-        for config, sink, pairs in zip(configs, sinks, kept)
-    ]
+    collectors = [_Collector(sink, config.dedup) for config, sink in zip(configs, sinks)]
     aligned = _aligned(bitext_targets, translations)
     chunks = iter(lambda: list(islice(aligned, CHUNK_SIZE)), [])  # only the last can be short
     with closing(_replies(partial(_decide_chunk, configs, profile), chunks, workers)) as replies:
@@ -489,8 +488,7 @@ def _build(
             for collector, record in zip(collectors, records):
                 collector.merge(labeled, words, record)
     return [
-        SimplificationCorpus(pairs, profile.lang_code, config, collector.stats(), collector.tally)
-        for config, collector, pairs in zip(configs, collectors, kept)
+        collector.corpus(profile.lang_code, config) for config, collector in zip(configs, collectors)
     ]
 
 

@@ -417,33 +417,49 @@ def test_a_meta_file_without_a_format_is_read_in_the_requested_one(tmp_path, cap
         assert json.loads(stdout)["total_pairs"] == 20
 
 
-# (signal, --workers, whether the whole process group gets the signal, as from a terminal)
+# (signal, --workers, whether the whole process group gets the signal, as from a terminal,
+# whether pytest ignores SIGINT, as under `trap '' INT`)
 _INTERRUPTS = [
-    *((sig, workers, False) for sig in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)
+    *((sig, workers, False, False) for sig in (signal.SIGTERM, signal.SIGHUP, signal.SIGINT)
       for workers in ("1", "2")),
-    (signal.SIGINT, "2", True),
+    (signal.SIGINT, "2", True, False),
+    (signal.SIGINT, "1", False, True),
 ]
 
 
+def _default_sigint() -> None:
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 @pytest.mark.parametrize(
-    ("sig", "workers", "group"), _INTERRUPTS,
-    ids=[f"{sig.name}-workers{workers}{'-group' * group}" for sig, workers, group in _INTERRUPTS],
+    ("sig", "workers", "group", "ignored"), _INTERRUPTS,
+    ids=[f"{sig.name}-workers{workers}{'-group' * group}{'-ignored' * ignored}"
+         for sig, workers, group, ignored in _INTERRUPTS],
 )
-def test_a_signal_ends_the_run_like_ctrl_c(tmp_path, child_env, sig, workers, group):
+def test_a_signal_ends_the_run_like_ctrl_c(tmp_path, child_env, sig, workers, group, ignored):
     target, translations = write_aligned_files(tmp_path, 2000)
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "out" / "c"
-    # The translator answers 640 lines, then keeps its output open: the run waits on it with
-    # more than one write buffer of pairs merged, with one worker or two.
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "sscorpus.cli", "build", "--target", str(target),
-            "--bridge", str(translations), "--translator-cmd", "sh -c 'sed -u 640q; exec sleep 30'",
-            "--no-bleu-selector", "--no-fres-selector", "--workers", workers, "--out", str(out),
-        ],
-        env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True,
-    )
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN) if ignored else None
+    try:
+        # The translator answers 640 lines, then keeps its output open: the run waits on it
+        # with more than one write buffer of pairs merged, with one worker or two. The CLI
+        # keeps a signal ignored at its start ignored, so it starts with SIGINT's default
+        # action, as from a shell, whatever pytest's is.
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "sscorpus.cli", "build", "--target", str(target),
+                "--bridge", str(translations),
+                "--translator-cmd", "sh -c 'sed -u 640q; exec sleep 30'",
+                "--no-bleu-selector", "--no-fres-selector", "--workers", workers,
+                "--out", str(out),
+            ],
+            env=child_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True, preexec_fn=_default_sigint,
+        )
+    finally:
+        if ignored:
+            signal.signal(signal.SIGINT, previous)
     try:
         # Not empty once the first chunk is merged and written.
         written = out.parent / f"c.complex.{proc.pid}.tmp"

@@ -10,9 +10,11 @@ with one worker or two, does not grow with its input.
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,7 +24,9 @@ import pipeline_oracle as oracle
 from synth import make_aligned_streams, write_aligned_files
 
 from sscorpus import cli
-from sscorpus.pipeline import SelectorConfig, ablate, build_corpus
+from sscorpus.pipeline import (
+    CHUNK_SIZE, LabeledPair, SelectorConfig, ablate, build_corpus, compute_corpus_stats
+)
 from sscorpus.textprep import get_profile
 
 EN = get_profile("en")
@@ -130,6 +134,27 @@ def test_own_sink_gets_the_pairs():
     sinks = {name: [] for name in ("pseudo", "no_bleu", "no_fres", "full")}
     for name, corpus in ablate(TARGETS, TRANSLATIONS, EN, sinks=sinks).items():
         assert corpus.pairs == [] and len(sinks[name]) == corpus.stats.total_pairs > 0
+
+
+def test_stats_without_a_sink_keep_no_pair_of_an_earlier_chunk():
+    # As `stats` and `subset` read a corpus: README says that neither holds a whole corpus.
+    sides = list(zip(TARGETS, TRANSLATIONS))[: 3 * CHUNK_SIZE]
+    refs, first_chunk_alive = [], []
+
+    def pairs():
+        for index, (target, translation) in enumerate(sides):
+            if index == 2 * CHUNK_SIZE:
+                gc.collect()
+                first_chunk_alive.append(sum(ref() is not None for ref in refs[:CHUNK_SIZE]))
+            pair = LabeledPair(target, translation, 0.0, "unlabeled", index)
+            refs.append(weakref.ref(pair))
+            yield pair
+
+    stats = compute_corpus_stats(pairs())
+    assert first_chunk_alive == [0]
+    assert stats == compute_corpus_stats(
+        [LabeledPair(t, s, 0.0, "unlabeled", i) for i, (t, s) in enumerate(sides)]
+    )
 
 
 # A fresh interpreter runs one CLI call, then reports its resident-memory
