@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, _count_elements
+from collections import _count_elements
 from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
@@ -173,15 +173,6 @@ def _check_max_order(max_order: int) -> None:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
 
 
-def _ngram_counts(tokens: Sequence[str], max_order: int, counts: dict | None = None) -> dict:
-    """Counts of every n-gram of orders 1..max_order, order by order, added into ``counts``."""
-    counts = {} if counts is None else counts
-    shifted = [tokens[i:] for i in range(max_order)]
-    for n in range(1, max_order + 1):
-        _count_elements(counts, zip(*shifted[:n]))
-    return counts
-
-
 def _clipped_matches(
     hyp: Sequence[str], refs: Sequence[Sequence[str]], correct: list[int], orders: range
 ) -> None:
@@ -329,6 +320,16 @@ def _f1(precision: float, recall: float) -> float:
     return 0.0
 
 
+def _order_counts(tokens: Sequence[str], max_order: int, counts: list | None = None) -> list[dict]:
+    """Add each order's n-gram counts to its own dict in ``counts``; a unigram is the bare token."""
+    counts = [{} for _ in range(max_order)] if counts is None else counts
+    _count_elements(counts[0], tokens)
+    shifted = [tokens[i:] for i in range(max_order)]
+    for n in range(2, max_order + 1):
+        _count_elements(counts[n - 1], zip(*shifted[:n]))
+    return counts
+
+
 def _sari_item(
     source: str, hypothesis: str, references: Sequence[str], max_order: int
 ) -> tuple[float, float, float]:
@@ -341,69 +342,54 @@ def _sari_item(
     """
     num_refs = len(references)
     lowered = {text: metric_tokens(text.lower()) for text in {source, hypothesis, *references}}
-    source_counts = _ngram_counts(lowered[source], max_order)
-    hyp_tokens = lowered[hypothesis]
-    hyp_counts = source_counts if hypothesis == source else _ngram_counts(hyp_tokens, max_order)
-    ref_counts: dict = {}
+    source_orders = _order_counts(lowered[source], max_order)
+    hyp_orders = _order_counts(lowered[hypothesis], max_order) if hypothesis != source else source_orders
+    ref_orders: list[dict] = [{} for _ in range(max_order)]
     for ref in references:
-        _ngram_counts(lowered[ref], max_order, ref_counts)
-    in_hyp = hyp_counts.get
-    in_refs = ref_counts.get
-
-    # Per n-gram order n, at index n, over the reference-scaled counts:
-    # source n-grams also in the hypothesis (kept), in some reference (worth
-    # keeping) and fewer times in the hypothesis (deleted); the keep
-    # precision and recall sums; and the delete terms, summed with ``sum``
-    # (which adds floats with compensation from Python 3.12 on).
-    size = max_order + 1
-    n_kept = [0] * size
-    n_keep_all = [0] * size
-    n_deleted = [0] * size
-    keep_precision = [0.0] * size
-    keep_recall = [0.0] * size
-    delete_terms: list[list[float]] = [[] for _ in range(size)]
-    for gram, count in source_counts.items():
-        n = len(gram)
-        hyp_count = in_hyp(gram, 0)
-        ref_count = in_refs(gram, 0)
-        if ref_count:
-            n_keep_all[n] += 1
-        if hyp_count:
-            n_kept[n] += 1
-            if ref_count:
-                keep_rep = (count if count < hyp_count else hyp_count) * num_refs
-                good = keep_rep if keep_rep < ref_count else ref_count
-                keep_all = count * num_refs
-                keep_precision[n] += good / keep_rep
-                keep_recall[n] += good / (keep_all if keep_all < ref_count else ref_count)
-        if count > hyp_count:
-            n_deleted[n] += 1
-            del_rep = (count - hyp_count) * num_refs
-            if del_rep > ref_count:
-                delete_terms[n].append((del_rep - ref_count) / del_rep)
-
-    n_added = [0] * size
-    n_added_good = [0] * size
-    for gram in hyp_counts.keys() - source_counts.keys():
-        n = len(gram)
-        n_added[n] += 1
-        if gram in ref_counts:
-            n_added_good[n] += 1
-    n_refs_grams = Counter(map(len, ref_counts))
+        _order_counts(lowered[ref], max_order, ref_orders)
 
     keep_total = delete_total = add_total = 0.0
-    for n in range(1, max_order + 1):
+    for source_counts, hyp_counts, ref_counts in zip(source_orders, hyp_orders, ref_orders):
+        # Over the reference-scaled counts: source n-grams also in the hypothesis
+        # (kept), in some reference (worth keeping) and fewer times in the hypothesis
+        # (deleted); the keep precision and recall sums; and the delete terms, summed
+        # with ``sum`` (which adds floats with compensation from Python 3.12 on).
+        in_hyp, in_refs = hyp_counts.get, ref_counts.get
+        n_kept = n_keep_all = n_deleted = 0
+        keep_precision = keep_recall = 0.0
+        delete_terms = []
+        for gram, count in source_counts.items():
+            hyp_count = in_hyp(gram, 0)
+            ref_count = in_refs(gram, 0)
+            if ref_count:
+                n_keep_all += 1
+            if hyp_count:
+                n_kept += 1
+                if ref_count:
+                    keep_rep = (count if count < hyp_count else hyp_count) * num_refs
+                    good = keep_rep if keep_rep < ref_count else ref_count
+                    keep_all = count * num_refs
+                    keep_precision += good / keep_rep
+                    keep_recall += good / (keep_all if keep_all < ref_count else ref_count)
+            if count > hyp_count:
+                n_deleted += 1
+                del_rep = (count - hyp_count) * num_refs
+                if del_rep > ref_count:
+                    delete_terms.append((del_rep - ref_count) / del_rep)
+
         keep_total += _f1(
-            keep_precision[n] / n_kept[n] if n_kept[n] else 0.0,
-            keep_recall[n] / n_keep_all[n] if n_keep_all[n] else 0.0,
+            keep_precision / n_kept if n_kept else 0.0,
+            keep_recall / n_keep_all if n_keep_all else 0.0,
         )
-        if n_deleted[n]:
-            delete_total += sum(delete_terms[n]) / n_deleted[n]
+        if n_deleted:
+            delete_total += sum(delete_terms) / n_deleted
+        added = hyp_counts.keys() - source_counts.keys()
+        n_added_good = len(added.intersection(ref_counts))
         # Addable n-grams: in some reference but not in the source.
-        n_addable = n_refs_grams[n] - n_keep_all[n]
+        n_addable = len(ref_counts) - n_keep_all
         add_total += _f1(
-            n_added_good[n] / n_added[n] if n_added[n] else 0.0,
-            n_added_good[n] / n_addable if n_addable else 0.0,
+            n_added_good / len(added) if added else 0.0,
+            n_added_good / n_addable if n_addable else 0.0,
         )
     return keep_total / max_order, delete_total / max_order, add_total / max_order
 

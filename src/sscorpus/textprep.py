@@ -8,10 +8,11 @@ from any number of workers.
 
 The 13a punctuation class is ASCII-only and context-free, so one
 ``str.translate`` table pads it. The three digit-aware rules run as regular
-expressions only on text with an ASCII digit; without one, a second table
-pads every ``.`` and ``,``. Both tables map every ASCII code, most to itself:
-translate raises and clears an exception for each character without an entry.
-A non-ASCII character is looked up that slow way and gives the same tokens.
+expressions only on text with a ``.`` or ``,`` before an ASCII digit, or a
+digit before ``-``; elsewhere a second table pads every ``.`` and ``,``, as the
+rules do there. Both tables map every ASCII code, most to itself: translate
+raises and clears an exception for each character without an entry. A
+non-ASCII character is looked up that slow way and gives the same tokens.
 """
 
 from __future__ import annotations
@@ -86,6 +87,10 @@ _13A_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
 _13A_PERIOD_AFTER = re.compile(r"([^0-9])([\.,])")
 _13A_PERIOD_BEFORE = re.compile(r"([\.,])([^0-9])")
 _13A_DIGIT_DASH = re.compile(r"([0-9])(-)")
+# Where those rules differ from padding every "." and ",": a "." or "," before a digit, or a
+# "-" after one. Matching "-.," first, then looking around, takes under half the time of
+# "[.,][0-9]|[0-9]-".
+_13A_DIGIT_CONTEXT = re.compile(r"[-.,](?:(?<=[.,])(?=[0-9])|(?<=[0-9]-))")
 
 # The space maps to itself: padding it changes only whitespace, which the split discards.
 _13A_PUNCT_TABLE = tuple(
@@ -122,7 +127,7 @@ def metric_tokens(text: str) -> list[str]:
             .replace("&lt;", "<")
             .replace("&gt;", ">")
         )
-    if not _has_digit(norm):
+    if not (_has_digit(norm) and _13A_DIGIT_CONTEXT.search(norm)):
         return norm.translate(_13A_DIGIT_FREE_TABLE).split()
     norm = f" {norm} ".translate(_13A_PUNCT_TABLE)
     norm = _13A_PERIOD_AFTER.sub(_split_pair, norm)

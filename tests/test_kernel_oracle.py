@@ -9,6 +9,7 @@ equal, not approximately.
 
 from __future__ import annotations
 
+import itertools
 import string
 from dataclasses import astuple
 from pathlib import Path
@@ -24,7 +25,7 @@ from sscorpus.ingest import read_eval_dataset
 from sscorpus.metrics import (
     _FKGL_SPECIAL_WORDS,
     _fkgl_syllables,
-    _ngram_counts,
+    _order_counts,
     _pair_bleu,
     _token_bleu,
     corpus_bleu,
@@ -137,6 +138,22 @@ def test_metric_tokens_match_for_every_ascii_code(context):
             assert metric_tokens(text) == oracle.metric_tokens(text), repr(text)
 
 
+# The three digit rules run only on text with a "." or "," right before an ASCII
+# digit, or a digit right before "-"; elsewhere the digit-free table pads every
+# "." and ",". That is exact: every boundary the rules insert sits beside a "." or
+# ",", or beside a "-" that follows a digit. Rule 1 always separates two adjacent
+# "."/"," characters, so rule 2 then isolates every "."/"," that no digit follows,
+# which is what the digit-free table does. Every string of up to six of these
+# characters (55,986 strings) meets each half of the context check: a check
+# without its dash half fails on "5-", one without its period half on "5.5", and
+# one narrowed to a period after a digit on "..5".
+def test_metric_tokens_match_on_every_short_string_of_digit_rule_characters():
+    for length in range(1, 7):
+        for chars in itertools.product("a5.,- ", repeat=length):
+            text = "".join(chars)
+            assert metric_tokens(text) == oracle.metric_tokens(text), repr(text)
+
+
 # A code missing from a table changes no token, only the speed: translate then
 # raises and clears a lookup error for it. So only this test notices a lost entry.
 @pytest.mark.parametrize("table", [_13A_PUNCT_TABLE, _13A_DIGIT_FREE_TABLE])
@@ -179,11 +196,20 @@ def test_corpus_bleu(items):
     assert corpus_bleu(hypotheses, references) == oracle.corpus_bleu(hypotheses, references)
 
 
-@given(st.lists(_WORD, max_size=16), st.integers(1, 5))
+@given(st.lists(_WORD, max_size=16), st.lists(_WORD, max_size=16), st.integers(1, 5))
 @settings(max_examples=500)
-def test_ngram_counts_keys_counts_and_order(tokens, max_order):
-    got = list(_ngram_counts(tokens, max_order).items())
-    assert got == list(oracle._ngram_counts(tokens, max_order).items())
+def test_order_counts_keys_counts_and_order(tokens, more, max_order):
+    """Each order's dict is the oracle's counts of that length, unigrams as bare tokens."""
+    got = _order_counts(tokens, max_order)
+    expected = oracle._ngram_counts(tokens, max_order)
+    for _ in range(2):  # then count a second token list into the same dicts
+        assert len(got) == max_order
+        for n, counts in enumerate(got, 1):
+            want = [(gram[0] if n == 1 else gram, count) for gram, count in expected.items()
+                    if len(gram) == n]
+            assert list(counts.items()) == want
+        _order_counts(more, max_order, got)
+        expected += oracle._ngram_counts(more, max_order)
 
 
 @st.composite
@@ -442,6 +468,15 @@ def test_sari_empty_sides():
 
 
 _EVAL_DATA = Path(__file__).resolve().parent.parent / "data" / "eval"
+
+
+@pytest.mark.parametrize("name", ["turkcorpus", "asset"])
+def test_metric_tokens_match_on_shipped_eval_sets(name):
+    """Every distinct source and reference string, cased for BLEU and lowercased for SARI."""
+    sources, references = read_eval_dataset(_EVAL_DATA / name)
+    for text in set(sources).union(*references):
+        for variant in (text, text.lower()):
+            assert metric_tokens(variant) == oracle.metric_tokens(variant), repr(variant)
 
 
 @pytest.mark.parametrize("name", ["turkcorpus", "asset"])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kernel_oracle as oracle
 
+from sscorpus import textprep
 from sscorpus.textprep import (
     PROFILES,
     _syllable_counter,
@@ -74,6 +75,41 @@ class TestMetricTokenizer:
         # Why SARI and FKGL tokenize lowercased text instead of lowercasing BLEU's tokens.
         assert metric_tokens(text.lower()) == tokens_of_lowered
         assert [token.lower() for token in metric_tokens(text)] == lowered_tokens
+
+
+_DIGIT_RULES = ["_13A_PERIOD_AFTER", "_13A_PERIOD_BEFORE", "_13A_DIGIT_DASH"]
+
+
+@pytest.fixture
+def digit_rules_run(monkeypatch):
+    """The names of the 13a digit rules that ran, in call order."""
+    run: list[str] = []
+
+    class Counted:
+        def __init__(self, name):
+            self.name, self.pattern = name, getattr(textprep, name)
+
+        def sub(self, *args):
+            run.append(self.name)
+            return self.pattern.sub(*args)
+
+    for name in _DIGIT_RULES:
+        monkeypatch.setattr(textprep, name, Counted(name))
+    return run
+
+
+class TestDigitRulesOnlyWhereTheyAct:
+    """Text with a digit runs the digit rules only if a "." or "," precedes a digit or "-" follows one."""
+
+    @pytest.mark.parametrize("text", ["in 1990, it rained.", "1990."])
+    def test_digits_without_that_context_run_no_rule(self, digit_rules_run, text):
+        assert metric_tokens(text) == oracle.metric_tokens(text)
+        assert digit_rules_run == []
+
+    @pytest.mark.parametrize("text", ["1,000", "5-year"])
+    def test_digits_in_that_context_run_every_rule(self, digit_rules_run, text):
+        assert metric_tokens(text) == oracle.metric_tokens(text)
+        assert digit_rules_run == _DIGIT_RULES
 
 
 class TestWordTokenizer:
